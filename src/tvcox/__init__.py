@@ -8,6 +8,7 @@ constancy, pointwise confidence bands, cross-validated selection of the
 basis dimension, and a simulation harness round out the package.
 """
 
+from . import _threads  # noqa: F401  (must precede every numpy import)
 from ._version import __version__
 from .data import (
     RiskIndex,

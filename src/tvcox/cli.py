@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from . import inference, likelihood, simulate
+from . import _threads, inference, likelihood, simulate
 from ._version import __version__
 from .data import load_csv, standardize, write_csv, build_risk_index
 from .errors import TvcoxError, UsageError
@@ -50,10 +50,13 @@ def _apply_thread_env():
         raise UsageError(f"TVCOX_NUM_THREADS must be an integer, got {value!r}") from None
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
+        if _threads.LIMIT_SET_AT_IMPORT != limit:
+            print(f"WARNING: TVCOX_NUM_THREADS={limit} not applied: numpy was "
+                  "loaded before tvcox and threadpoolctl is not installed",
+                  file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -131,12 +131,15 @@ class _StratumIndex:
 
     ``order`` sorts the stratum's rows by descending time (ties by row
     index), so the risk set at distinct event time ``dt[g]`` is
-    ``order[:L[g]]``.  ``d[g]`` events share that denominator; their original
-    rows are ``event_rows[event_starts[g]:event_starts[g+1]]``.
+    ``order[:L[g]]`` and ``L`` ascends.  ``d[g]`` events share that
+    denominator; their original rows are
+    ``event_rows[event_starts[g]:event_starts[g+1]]`` and ``SX[g]`` is the
+    sum of their covariates.  ``Xs`` holds the covariates in ``order``.
+    Every array is O(n_j) or O(m_j); nothing is n_j x m_j.
     """
 
     __slots__ = ("order", "dt", "L", "d", "event_rows", "event_starts",
-                 "event_group", "Xs", "Xs2", "SX", "mask_add")
+                 "event_group", "Xs", "SX")
 
     def __init__(self, order, time, status, X):
         self.order = order
@@ -152,15 +155,8 @@ class _StratumIndex:
         starts = np.searchsorted(gid, np.arange(dt.size + 1))
         self.event_starts = starts
         self.d = np.diff(starts).astype(float)
-        Xs = X[order]
+        self.Xs = X[order]
         self.SX = np.add.reduceat(X[ev_sorted], starts[:-1], axis=0)
-        self.Xs = np.asfortranarray(Xs)
-        self.Xs2 = np.asfortranarray(Xs * Xs)
-        # additive mask: 0 inside the risk-set prefix, -inf outside; adding it
-        # to the linear predictor makes masked entries vanish under exp
-        madd = np.zeros((order.size, dt.size), order="F")
-        madd[np.arange(order.size)[:, None] >= self.L[None, :]] = -np.inf
-        self.mask_add = madd
 
 
 class RiskIndex:

@@ -13,11 +13,16 @@ with the event time, denominators cannot be shared across times; they are
 shared across events tied at the same time, and each distinct time's risk
 set is a contiguous prefix of the stratum's descending-time ordering.
 
-All quantities for one stratum are computed in a single vectorized pass:
-an (n_j x m) matrix of linear predictors (m = distinct event times), a
-per-column max shift for stable exponentials, and masked matrix products
-for the risk-set sums.  Flat coefficient vectors follow the row-major
-convention theta = vec(Theta): block p occupies theta[p*K:(p+1)*K].
+Each stratum is evaluated in one pass over its distinct event times, in
+fixed-width chunks of columns.  Because the prefix lengths ``L`` ascend, a
+chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
+ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
+its risk sets; those entries are set to ``-inf`` before exponentiation.
+Each chunk holds at most ``_CHUNK_ENTRIES`` linear predictors, so memory is
+linear in the stratum size and no n_j x m array is ever formed.  A per-column
+max shift keeps the exponentials stable.  Flat coefficient vectors follow
+the row-major convention theta = vec(Theta): block p occupies
+theta[p*K:(p+1)*K].
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
+_CHUNK_ENTRIES = 1 << 18   # linear predictors per chunk: 2 MiB of float64
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -105,22 +111,44 @@ def _group_basis(s, basis_values):
     return basis_values[s.event_rows[s.event_starts[:-1]]]
 
 
-def _stratum_pass(s, M):
-    """Shared per-stratum quantities at coefficients with basis mix M (m x P)."""
+def _risk_set_pass(s, M, mats=()):
+    """Risk-set log denominators and weighted means for one stratum.
+
+    ``M`` (m x P) holds the basis-mixed coefficients of the stratum's m
+    distinct event times; ``mats`` are arrays with one row per subject in
+    ``s.order``.  Returns ``log S_g + shift_g`` for every event time g,
+    where S_g sums the shifted exponentials over the risk set
+    ``order[:L[g]]`` and shift_g is the largest linear predictor in it, and
+    for each array A in ``mats`` the (m x A.shape[1]) risk-weighted means
+    ``E'A / S``.
+    """
+    n, m = s.order.size, s.dt.size
+    width = max(1, _CHUNK_ENTRIES // n)
+    # a leading column of ones makes S the first column of E @ A
+    A = np.concatenate([np.ones((n, 1)), *mats], axis=1)
+    lse = np.empty(m)
+    means = np.empty((m, A.shape[1] - 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = s.Xs @ M.T
-        eta += s.mask_add
-        shift = eta.max(axis=0)
-        eta -= shift
-        E = np.exp(eta, out=eta)  # masked entries exp(-inf) = 0
-        S = E.sum(axis=0)
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(shift))):
-            raw = s.Xs @ M.T
-            bad = np.argwhere(~np.isfinite(raw))
-            row = s.order[bad[0][0]] if bad.size else s.order[0]
-            raise NumericOverflowError(
-                f"non-finite linear predictor for subject row {int(row)}")
-    return E, S, shift
+        for a in range(0, m, width):
+            b = min(a + width, m)
+            rows, lo = s.L[b - 1], s.L[a]
+            eta = M[a:b] @ s.Xs[:rows].T  # one event time per row
+            band = eta[:, lo:rows]
+            band[np.arange(lo, rows) >= s.L[a:b, None]] = -np.inf
+            shift = eta.max(axis=1)
+            eta -= shift[:, None]
+            E = np.exp(eta, out=eta)  # masked entries exp(-inf) = 0
+            ES = E @ A[:rows]
+            S = ES[:, 0]
+            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(shift))):
+                raw = M[a:b] @ s.Xs[:rows].T
+                bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=0))
+                row = s.order[bad[0]] if bad.size else s.order[0]
+                raise NumericOverflowError(
+                    f"non-finite linear predictor for subject row {int(row)}")
+            lse[a:b] = np.log(S) + shift
+            means[a:b] = ES[:, 1:] / S[:, None]
+    return lse, np.split(means, np.cumsum([X.shape[1] for X in mats])[:-1], axis=1)
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -161,26 +189,28 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     for s in index.strata:
         Bg = _group_basis(s, basis.values)
         M = Bg @ Theta.T
-        E, S, shift = _stratum_pass(s, M)
+        mats = [s.Xs] if (G is not None or Hb is not None) else []
+        if want_blocks:
+            mats.append(s.Xs * s.Xs)
+        if want_full:
+            mats.append(s.Xs[:, iu[0]] * s.Xs[:, iu[1]])
+        lse, means = _risk_set_pass(s, M, mats)
         d = s.d
         if want_loglik:
-            ll += float((s.SX * M).sum() - (d * (np.log(S) + shift)).sum())
-        if G is None and Hb is None:
+            ll += float((s.SX * M).sum() - (d * lse).sum())
+        if not mats:
             continue
-        Zbar = (E.T @ s.Xs) / S[:, None]
+        Zbar = means[0]
         A = s.SX - d[:, None] * Zbar
         if G is not None:
             G += A.T @ Bg
         if want_blocks or want_full:
             BB = Bg[:, :, None] * Bg[:, None, :]
         if want_blocks:
-            Q = (E.T @ s.Xs2) / S[:, None]
-            W = (Q - Zbar * Zbar) * d[:, None]
+            W = (means[1] - Zbar * Zbar) * d[:, None]
             Hb -= np.tensordot(W.T, BB, axes=1)
         if want_full:
-            XX = s.Xs[:, iu[0]] * s.Xs[:, iu[1]]
-            NN = (E.T @ XX) / S[:, None]
-            Wf = (NN - Zbar[:, iu[0]] * Zbar[:, iu[1]]) * d[:, None]
+            Wf = (means[-1] - Zbar[:, iu[0]] * Zbar[:, iu[1]]) * d[:, None]
             blocks = np.tensordot(Wf.T, BB, axes=1)
             for c in range(iu[0].size):
                 p, q = iu[0][c], iu[1][c]
@@ -239,8 +269,7 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     for s in index.strata:
         Bg = _group_basis(s, basis.values)
         M = Bg @ Theta.T
-        E, S, _ = _stratum_pass(s, M)
-        Zbar = (E.T @ s.Xs) / S[:, None]
+        _, (Zbar,) = _risk_set_pass(s, M, [s.Xs])
         dx = dataset.covariates[s.event_rows] - Zbar[s.event_group]
         psi = dx[:, :, None] * basis.values[s.event_rows][:, None, :]
         chunks.append(psi.reshape(s.event_rows.size, P * K))

@@ -291,3 +291,45 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "wrote 40 subjects" in proc.stdout
+
+
+class TestThreadCap:
+    """TVCOX_NUM_THREADS reaches the BLAS libraries only before numpy loads."""
+
+    @staticmethod
+    def run_child(code, **env):
+        package_root = os.path.dirname(os.path.dirname(tvcox.__file__))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath, **env})
+
+    def test_import_sets_blas_variables_before_numpy(self):
+        proc = self.run_child(
+            "import os, tvcox\n"
+            "print(*(os.environ.get(v) for v in "
+            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))",
+            TVCOX_NUM_THREADS="1", OPENBLAS_NUM_THREADS="3")
+        assert proc.returncode == 0, proc.stderr
+        # a variable the user set is kept
+        assert proc.stdout.split() == ["1", "3", "1"]
+
+    def test_warns_when_numpy_was_loaded_first(self, tmp_path):
+        out = tmp_path / "t.csv"
+        proc = self.run_child(
+            "import importlib.util, sys\n"
+            "import numpy\n"
+            "from tvcox.cli import main\n"
+            "print(importlib.util.find_spec('threadpoolctl') is not None)\n"
+            f"sys.exit(main(['simulate', '--setting', '3', '--n', '10', "
+            f"'--seed', '1', '--out', {str(out)!r}]))",
+            TVCOX_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        has_threadpoolctl = proc.stdout.splitlines()[0] == "True"
+        if has_threadpoolctl:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.splitlines() == [
+                "WARNING: TVCOX_NUM_THREADS=1 not applied: numpy was loaded "
+                "before tvcox and threadpoolctl is not installed"]

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tvcox as tv
+import tvcox.likelihood as likelihood_module
 from tvcox import CapacityError, NumericOverflowError
 from tvcox.likelihood import as_matrix, as_vector, evaluate_report
 
@@ -208,3 +211,129 @@ def test_report_flags_control_outputs():
     assert rep.gradient is None and rep.block_hessians is None
     rep = evaluate_report(ds, index, basis, np.zeros((2, 3)))
     assert rep.gradient is not None and rep.full_hessian is None
+
+
+# The risk-set pass walks each stratum's distinct event times in chunks of
+# at most _CHUNK_ENTRIES linear predictors.  Shrinking the constant makes
+# the small instances below split into many chunks: 1 entry gives one
+# event time per chunk, 60 entries a few event times per chunk.
+MULTI_CHUNK = (1, 60)
+
+
+def _chunk_count(s, chunk):
+    width = max(1, chunk // s.order.size)
+    return -(-s.dt.size // width)
+
+
+def _all_outputs(ds, index, basis, theta):
+    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
+    res = tv.score_residuals(ds, index, basis, theta)
+    return [np.array(rep.loglik), rep.gradient, rep.block_hessians,
+            rep.full_hessian, res.psi]
+
+
+@pytest.mark.parametrize("chunk", MULTI_CHUNK)
+def test_multi_chunk_pass_matches_oracles(chunk, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    ds, spec, basis, index = make_instance(111, n=40, P=2, K=3)
+    assert min(_chunk_count(s, chunk) for s in index.strata) >= 3
+    theta = np.random.default_rng(12).normal(0, 0.3, (ds.P, spec.K))
+    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
+
+    assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta),
+                                       rel=1e-12, abs=1e-12)
+    want = fd_gradient(lambda v: brute_loglik(ds, basis.values, v), theta)
+    np.testing.assert_allclose(rep.gradient, want, rtol=2e-7, atol=2e-7)
+    H = fd_hessian(lambda v: evaluate_report(ds, index, basis, v).gradient, theta)
+    np.testing.assert_allclose(rep.full_hessian, H, rtol=1e-6, atol=1e-6)
+    K = spec.K
+    for p in range(ds.P):
+        np.testing.assert_allclose(rep.block_hessians[p],
+                                   H[p * K:(p + 1) * K, p * K:(p + 1) * K],
+                                   rtol=1e-6, atol=1e-6)
+
+    res = tv.score_residuals(ds, index, basis, theta)
+    order, psi = brute_score_residuals(ds, basis.values, theta)
+    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
+    for i, r in enumerate(order):
+        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
+
+
+@pytest.mark.parametrize("chunk", MULTI_CHUNK)
+def test_multi_chunk_equals_single_chunk(chunk, monkeypatch):
+    ds, spec, basis, index = make_instance(121, n=90, P=3, K=4, J=2)
+    theta = np.random.default_rng(13).normal(0, 0.3, (ds.P, spec.K))
+    assert all(_chunk_count(s, likelihood_module._CHUNK_ENTRIES) == 1
+               for s in index.strata)
+    assert min(_chunk_count(s, chunk) for s in index.strata) >= 3
+    single = _all_outputs(ds, index, basis, theta)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    many = _all_outputs(ds, index, basis, theta)
+    for want, got in zip(single, many):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("chunk", MULTI_CHUNK)
+def test_multi_chunk_tied_events_share_one_denominator(chunk, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    ds, spec, basis, index = make_instance(131, n=60, P=2, K=3)
+    assert any(s.d.max() > 1 for s in index.strata)  # the instance has ties
+    theta = np.random.default_rng(14).normal(0, 0.4, (ds.P, spec.K))
+    for s in index.strata:
+        Bg = basis.values[s.event_rows[s.event_starts[:-1]]]
+        lse, _ = likelihood_module._risk_set_pass(s, Bg @ theta.T)
+        assert lse.shape == (s.dt.size,)
+        stratum = ds.stratum[s.order[0]]
+        for g, t in enumerate(s.dt):
+            at_risk = (ds.stratum == stratum) & (ds.time >= t)
+            eta = ds.covariates[at_risk] @ (theta @ Bg[g])
+            want = eta.max() + np.log(np.exp(eta - eta.max()).sum())
+            assert lse[g] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            # every event tied at t has exactly this risk set
+            tied = s.event_rows[s.event_starts[g]:s.event_starts[g + 1]]
+            assert np.all(ds.time[tied] == t)
+            assert tied.size == s.d[g]
+
+
+def test_overflow_in_a_later_chunk_names_the_subject(monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", 1)
+    ds, spec, basis, _ = make_instance(141, n=30, P=2, K=3, J=1)
+    # the earliest event is at risk only at the earliest event time, which
+    # is the last column of the pass: every earlier chunk stays finite
+    events = np.flatnonzero(ds.status == 1)
+    row = int(events[np.argmin(ds.time[events])])
+    X = ds.covariates.copy()
+    X[row] = 1e308
+    big = tv.SurvivalDataset(ds.time, ds.status, ds.stratum, ds.stratum_labels,
+                             X, ds.covariate_names)
+    index = tv.build_risk_index(big)
+    assert index.strata[0].dt.size > 1
+    with pytest.raises(NumericOverflowError, match=f"subject row {row}$"):
+        evaluate_report(big, index, basis, np.ones((2, 3)), want_gradient=False)
+
+
+def test_pass_memory_is_linear_in_stratum_size():
+    # one stratum of 20000: a dense n x m float64 array would be ~1.7 GB
+    rng = np.random.default_rng(151)
+    n = 20000
+    ds = tv.SurvivalDataset(
+        time=rng.exponential(1.0, n), status=(rng.random(n) < 0.55).astype(int),
+        stratum=np.zeros(n, dtype=np.int64), stratum_labels=("s",),
+        covariates=rng.standard_normal((n, 2)), covariate_names=("x0", "x1"))
+    spec = tv.make_spec(degree=2, K=4, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    theta = rng.normal(0, 0.3, (2, 4))
+    tracemalloc.start()
+    try:
+        index = tv.build_risk_index(ds)
+        ll = tv.loglik(ds, index, basis, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(ll)
+    assert peak < 64 * 2 ** 20
+    (s,) = index.strata
+    dense = s.order.size * s.dt.size
+    for name in s.__slots__:
+        assert np.asarray(getattr(s, name)).size < dense, name
