@@ -20,17 +20,52 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from . import _threads, inference, likelihood, simulate
 from ._version import __version__
-from .data import load_csv, standardize, write_csv, build_risk_index
+from .data import load_csv, write_csv
 from .errors import TvcoxError, UsageError
-from .optimizers import MmsaConfig
-from .splines import evaluate_batch, make_spec
+from .optimizers import MmsaConfig, _prepare
+from .splines import make_spec
 
-OPTIMIZERS = ("mmsa", "newton", "gradient", "coordinate", "adagrad")
+
+def _optimizer(name: str) -> str:
+    """Flag type of --optimizer: a name that ``inference.fit_by_name`` knows."""
+    try:
+        inference.fit_by_name(name)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return name
+
+
+_REQUIRED = object()  # the default of a flag that a subcommand cannot run without
+
+# Every flag once: the type that parses its text, which a --config value
+# also goes through, and its default in each subcommand that takes it.
+_OPTIONS = {
+    "data": (str, {"fit": _REQUIRED, "cv": _REQUIRED}),
+    "K": (int, {"fit": _REQUIRED, "bench": _REQUIRED}),
+    "K_grid": (str, {"cv": _REQUIRED}),
+    "setting": (int, {"simulate": _REQUIRED, "bench": _REQUIRED}),
+    "n": (int, {"simulate": _REQUIRED, "bench": _REQUIRED}),
+    "P": (int, {"simulate": None, "bench": None}),  # see _scenario_P
+    "J": (int, {"simulate": 1, "bench": 1}),
+    "gamma": (float, {"simulate": 1.0, "bench": 1.0}),
+    "degree": (int, {"fit": 3, "bench": 3, "cv": 3}),
+    "optimizer": (_optimizer, {"fit": "mmsa", "cv": "newton"}),
+    "optimizers": (str, {"bench": _REQUIRED}),
+    "replicates": (int, {"bench": _REQUIRED}),
+    "folds": (int, {"cv": 5}),
+    "nu": (float, {"fit": 0.05, "bench": 0.05, "cv": 0.05}),
+    "eta": (float, {"fit": 1.0, "bench": 1.0, "cv": 1.0}),
+    "tol": (float, {"fit": 1e-6, "bench": 1e-6, "cv": 1e-6}),
+    "max_iter": (int, {"fit": 20000, "bench": 20000, "cv": 20000}),
+    "seed": (int, {"fit": 1, "simulate": _REQUIRED, "bench": _REQUIRED, "cv": _REQUIRED}),
+    "out": (str, {"fit": ".", "simulate": _REQUIRED, "bench": _REQUIRED, "cv": "."}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,13 +94,18 @@ def _apply_thread_env():
     threadpoolctl.threadpool_limits(limits=limit)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, content) -> None:
+    """Write ``content`` (text, or a function that writes a file by name) to a
+    new file beside ``path``, then rename that file to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tvcox-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        if callable(content):
+            content(tmp)
+        else:
+            Path(tmp).write_text(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,27 +130,53 @@ def _comments(resolved: dict) -> list:
             "config: " + json.dumps(resolved, sort_keys=True)]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, required: tuple) -> dict:
-    """Layer defaults, then --config file values, then explicit flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _flags(command: str) -> dict:
+    """``{name: (type, default)}`` of the flags of a subcommand, in table order."""
+    return {name: (typ, defaults[command])
+            for name, (typ, defaults) in _OPTIONS.items() if command in defaults}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Layer defaults, then --config file values, then explicit flags.
+
+    A file value is parsed like the text of its flag, so it is checked the same way.
+    """
+    flags = _flags(args.command)
+    cfg = {name: default for name, (_, default) in flags.items() if default is not _REQUIRED}
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_vals = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config file: {e}") from None
-        unknown = set(file_vals) - set(defaults) - set(required)
+        if not isinstance(file_vals, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = set(file_vals) - set(flags)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_vals)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func") or value is None:
-            continue
-        cfg[key] = value
-    for key in required:
-        if cfg.get(key) is None:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
+        for key, value in file_vals.items():
+            try:
+                if type(value) not in (str, int, float):
+                    raise ValueError
+                cfg[key] = flags[key][0](str(value))
+            except ValueError:
+                raise UsageError(
+                    f"config key {key!r}: invalid value {json.dumps(value)}") from None
+    for name in flags:
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
+    for name, (_, default) in flags.items():
+        if default is _REQUIRED and cfg.get(name) is None:
+            raise UsageError(f"missing required option --{name.replace('_', '-')}")
     return cfg
+
+
+def _scenario_P(cfg: dict) -> None:
+    """Default P to the two covariates of setting 3; other settings need it."""
+    if cfg["P"] is None:
+        if cfg["setting"] != 3:
+            raise UsageError("missing required option --P")
+        cfg["P"] = 2
 
 
 def _mmsa_config(cfg: dict) -> MmsaConfig:
@@ -125,20 +191,15 @@ def _mmsa_config(cfg: dict) -> MmsaConfig:
 def _fit_and_tests(dataset, spec, cfg):
     """Fit plus the inference pieces the fit/bench commands share."""
     fit = inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
-    work = standardize(dataset)[0] if fit.transform is not None else dataset
-    index = build_risk_index(work)
-    basis = evaluate_batch(spec, work.time)
+    work, _, basis, index = _prepare(dataset, spec, fit.transform is not None)
     resid = likelihood.score_residuals(work, index, basis, fit.theta)
     tests = inference.test_all_covariates(fit.theta, resid) if spec.K >= 2 else []
     return fit, resid, tests
 
 
 def cmd_fit(args) -> int:
-    defaults = {"degree": 3, "optimizer": "mmsa", "nu": 0.05, "eta": 1.0,
-                "tol": 1e-6, "max_iter": 20000, "seed": 1, "out": "."}
-    cfg = _resolve(args, defaults, required=("data", "K"))
-    if cfg["optimizer"] not in OPTIMIZERS:
-        raise UsageError(f"unknown optimizer '{cfg['optimizer']}'")
+    """fit coefficient curves from a CSV dataset"""
+    cfg = _resolve(args)
     dataset = load_csv(cfg["data"])
     spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=dataset.event_times)
     fit, resid, tests = _fit_and_tests(dataset, spec, cfg)
@@ -174,47 +235,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    defaults = {"J": 1, "gamma": 1.0, "P": None}
-    cfg = _resolve(args, defaults, required=("setting", "n", "seed", "out"))
-    if cfg["P"] is None:
-        if cfg["setting"] != 3:
-            raise UsageError("missing required option --P")
-        cfg["P"] = 2
+    """generate a scenario dataset CSV"""
+    cfg = _resolve(args)
+    _scenario_P(cfg)
     try:
         spec = simulate.ScenarioSpec(setting=cfg["setting"], n=cfg["n"], P=cfg["P"],
                                      J=cfg["J"], gamma=cfg["gamma"], seed=cfg["seed"])
     except TvcoxError as e:
         raise UsageError(str(e)) from None
     dataset = simulate.generate(spec)
-    directory = os.path.dirname(os.path.abspath(cfg["out"]))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tvcox-")
-    os.close(fd)
-    try:
-        write_csv(tmp, dataset, header_comments=_comments(cfg))
-        os.replace(tmp, cfg["out"])
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(cfg["out"], lambda tmp: write_csv(tmp, dataset, header_comments=_comments(cfg)))
     print(f"tvcox {__version__}: wrote {dataset.n} subjects "
           f"({int(dataset.status.sum())} events) to {cfg['out']}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    defaults = {"J": 1, "gamma": 1.0, "degree": 3, "nu": 0.05, "eta": 1.0,
-                "tol": 1e-6, "max_iter": 20000, "P": None}
-    cfg = _resolve(args, defaults, required=("setting", "n", "K", "optimizers",
-                                             "replicates", "seed", "out"))
-    if cfg["P"] is None:
-        if cfg["setting"] != 3:
-            raise UsageError("missing required option --P")
-        cfg["P"] = 2
-    names = [s.strip() for s in cfg["optimizers"].split(",") if s.strip()]
-    for name in names:
-        if name not in OPTIMIZERS:
-            raise UsageError(f"unknown optimizer '{name}'")
+    """paired-replicate optimizer comparison"""
+    cfg = _resolve(args)
+    _scenario_P(cfg)
+    names = [_optimizer(s.strip()) for s in cfg["optimizers"].split(",") if s.strip()]
     if not names:
         raise UsageError("--optimizers must list at least one optimizer")
 
@@ -252,11 +292,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    defaults = {"folds": 5, "degree": 3, "optimizer": "newton", "tol": 1e-6,
-                "max_iter": 20000, "nu": 0.05, "eta": 1.0, "out": "."}
-    cfg = _resolve(args, defaults, required=("data", "K_grid", "seed"))
-    if cfg["optimizer"] not in OPTIMIZERS:
-        raise UsageError(f"unknown optimizer '{cfg['optimizer']}'")
+    """choose K by cross-validated partial likelihood"""
+    cfg = _resolve(args)
     try:
         candidates = [int(s) for s in str(cfg["K_grid"]).split(",") if s.strip()]
     except ValueError:
@@ -282,68 +319,13 @@ def build_parser() -> _Parser:
                      description="Time-varying covariate effects in stratified Cox models")
     parser.add_argument("--version", action="version", version=f"tvcox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, func in (("fit", cmd_fit), ("simulate", cmd_simulate), ("bench", cmd_bench),
+                          ("cv", cmd_cv)):
+        p = sub.add_parser(command, help=func.__doc__)
         p.add_argument("--config", help="JSON file of option values; flags override")
-
-    p = sub.add_parser("fit", help="fit coefficient curves from a CSV dataset")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--K", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--optimizer", choices=OPTIMIZERS)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("simulate", help="generate a scenario dataset CSV")
-    common(p)
-    p.add_argument("--setting", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--J", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench", help="paired-replicate optimizer comparison")
-    common(p)
-    p.add_argument("--setting", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--J", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--optimizers")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("cv", help="choose K by cross-validated partial likelihood")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--K-grid")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--optimizer", choices=OPTIMIZERS)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cv)
+        for name, (typ, _) in _flags(command).items():
+            p.add_argument("--" + name.replace("_", "-"), type=typ)
+        p.set_defaults(func=func)
     return parser
 
 

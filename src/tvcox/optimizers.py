@@ -17,12 +17,23 @@ Baselines used for benchmarking: full-Hessian Newton with backtracking,
 fixed-step gradient ascent, cyclic coordinate ascent, and Adagrad on
 subsampled gradients.  All optimizers standardize covariates internally by
 default and record the transform on the result.
+
+Each ``*_fit`` is a small step function run by one private driver,
+``_drive``, which owns the loop, the trace and the ``FitResult``.  Every
+iteration is checked in one order: the method's own guard (MMSA's ascent
+check, gradient ascent's ten consecutive decreases), then the score test
+(criterion < tol), then the relative change of the full-data log
+likelihood.  Stochastic MMSA and Adagrad have no score test.  A
+stochastic MMSA draw with no events, or with every block score below
+tol, makes no update, so the unchanged log likelihood stops the fit one
+iteration later.  The reported log likelihood is a loglik-only pass at the
+returned theta, reused when a step already made that pass there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -168,12 +179,6 @@ def _prepare(dataset: SurvivalDataset, spec: SplineSpec, do_standardize: bool):
     return work, transform, basis, index
 
 
-def _init_theta(init_theta, P: int, K: int) -> np.ndarray:
-    if init_theta is None:
-        return np.zeros((P, K))
-    return lk.as_matrix(init_theta, P, K).copy()
-
-
 def _ridged_solve(A: np.ndarray, rhs: np.ndarray, ridge: float, label: str):
     """Solve (A + eps I) x = rhs with geometric ridge escalation.
 
@@ -229,6 +234,113 @@ def _subsample(work: SurvivalDataset, basis: BasisMatrix, config: MmsaConfig,
     return sub, build_risk_index(sub), sub_basis
 
 
+class _Problem:
+    """One fit's data on the fitting scale and its likelihood passes."""
+
+    def __init__(self, dataset: SurvivalDataset, spec: SplineSpec, do_standardize: bool):
+        self.work, self.transform, self.basis, self.index = _prepare(
+            dataset, spec, do_standardize)
+        self._latest = None  # (theta, loglik) of the latest loglik-only pass
+
+    def report(self, theta, **wants) -> lk.LikelihoodReport:
+        return lk.evaluate_report(self.work, self.index, self.basis, theta, **wants)
+
+    def loglik(self, theta: np.ndarray) -> float:
+        """Full-data log likelihood at theta from a loglik-only pass, kept for reuse."""
+        if self._latest is None or not np.array_equal(self._latest[0], theta):
+            self._latest = (theta.copy(), self.report(theta, want_gradient=False).loglik)
+        return self._latest[1]
+
+
+def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
+           config: MmsaConfig | None, init_theta, do_standardize: bool) -> FitResult:
+    """Run one fit with the step function that ``make_step(problem, config)`` returns.
+
+    ``step(theta, m, ll_prev)`` evaluates iteration m, runs the method's
+    guard and returns ``(loglik, score, move)``: the full-data log
+    likelihood and the stopping criterion, each None when not evaluated,
+    and ``move(theta)``, which updates and returns ``(theta, trace entry
+    or None)``, or returns None when there is no update.
+    """
+    config = config or MmsaConfig()
+    t0 = time.perf_counter()
+    problem = _Problem(dataset, spec, do_standardize)
+    P, K = problem.work.P, spec.K
+    theta = np.zeros((P, K)) if init_theta is None else lk.as_matrix(init_theta, P, K).copy()
+    step = make_step(problem, config)
+    trace = []
+    updates = 0
+    ll_prev = None
+    reason = "max-iterations"
+
+    for m in range(1, config.max_iterations + 1):
+        ll, score, move = step(theta, m, ll_prev)
+        if score is not None and score < config.tol:
+            reason = "score-threshold"
+            break
+        if ll is not None:
+            if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
+                reason = "loglik-relative-change"
+                break
+            ll_prev = ll
+        moved = move(theta)
+        if moved is None:
+            continue
+        theta, entry = moved
+        updates += 1
+        if entry is not None:
+            trace.append(entry)
+
+    return FitResult(theta=theta, spec=spec, transform=problem.transform,
+                     loglik=float(problem.loglik(theta)), iterations=updates,
+                     converged=reason != "max-iterations", reason=reason, trace=trace,
+                     optimizer=optimizer, config=config,
+                     wall_time_sec=time.perf_counter() - t0)
+
+
+def _best_block(report: lk.LikelihoodReport, ridge: float):
+    """``(p*, c_p*, direction)`` of the block with the largest score."""
+    quantities = [mmsa_block_quantities(report, p, ridge) for p in range(report.P)]
+    p_star = int(np.argmax([c for c, _ in quantities]))  # first maximum = smallest index
+    return p_star, *quantities[p_star]
+
+
+def _mmsa_step(problem: _Problem, config: MmsaConfig):
+    nu = config.learning_rate
+
+    def full(theta, m, ll_prev):
+        rep = problem.report(theta, want_blocks=True)
+        ll = rep.loglik
+        if ll_prev is not None and ll < ll_prev - ASCENT_SLACK:
+            raise AscentViolationError(
+                f"log likelihood decreased by {ll_prev - ll:.3e} at iteration {m}; "
+                f"reduce learning_rate below {nu}")
+        p_star, c_star, direction = _best_block(rep, config.ridge)
+
+        def move(theta):
+            theta[p_star] += nu * direction
+            return theta, (p_star, c_star, ll)
+        return ll, c_star, move
+
+    def stochastic(theta, m, ll_prev):
+        # the stopping tests use the full data; the draw only picks the update
+        ll = problem.loglik(theta)
+        drawn = _subsample(problem.work, problem.basis, config, m)
+
+        def move(theta):
+            if drawn is None:
+                return None  # eventless draw: no usable score this iteration
+            rep = lk.evaluate_report(*drawn, theta, want_loglik=False, want_blocks=True)
+            p_star, c_star, direction = _best_block(rep, config.ridge)
+            if c_star < config.tol:
+                return None  # no ascent direction on this draw
+            theta[p_star] += nu * direction
+            return theta, (p_star, c_star, ll)
+        return ll, None, move
+
+    return stochastic if config.subsample_fraction < 1.0 else full
+
+
 def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
              init_theta=None, do_standardize: bool = True) -> FitResult:
     """Block-selected ascent fit of the coefficient matrix.
@@ -248,72 +360,36 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     ConditioningError
         If a block stays non-PD after ridge escalation.
     """
-    config = config or MmsaConfig()
-    t0 = time.perf_counter()
-    work, transform, basis, index = _prepare(dataset, spec, do_standardize)
-    P, K = work.P, spec.K
-    theta = _init_theta(init_theta, P, K)
-    stochastic = config.subsample_fraction < 1.0
-    nu = config.learning_rate
-    trace = []
-    ll_prev = None
-    ll = None
-    reason = "max-iterations"
-
-    for m in range(1, config.max_iterations + 1):
-        if stochastic:
-            # convergence bookkeeping always uses the full data
-            ll = lk.evaluate_report(work, index, basis, theta,
-                                    want_gradient=False).loglik
-            drawn = _subsample(work, basis, config, m)
-        else:
-            rep = lk.evaluate_report(work, index, basis, theta, want_blocks=True)
-            ll = rep.loglik
-        if ll_prev is not None:
-            if not stochastic and ll < ll_prev - ASCENT_SLACK:
-                raise AscentViolationError(
-                    f"log likelihood decreased by {ll_prev - ll:.3e} at iteration {m}; "
-                    f"reduce learning_rate below {nu}")
-            if abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
-                reason = "loglik-relative-change"
-                break
-        ll_prev = ll
-        if stochastic:
-            if drawn is None:
-                continue  # eventless draw: no usable score this iteration
-            rep = lk.evaluate_report(*drawn, theta, want_loglik=False, want_blocks=True)
-        scores = np.empty(P)
-        directions = []
-        for p in range(P):
-            c_p, d_p = mmsa_block_quantities(rep, p, config.ridge)
-            scores[p] = c_p
-            directions.append(d_p)
-        if scores.max() < config.tol:
-            reason = "score-threshold"
-            break
-        p_star = int(np.argmax(scores))  # first maximum = smallest block index
-        trace.append((p_star, float(scores[p_star]), float(ll)))
-        theta[p_star] += nu * directions[p_star]
-
-    if reason == "max-iterations" or stochastic:
-        ll = lk.evaluate_report(work, index, basis, theta, want_gradient=False).loglik
-    return FitResult(theta=theta, spec=spec, transform=transform, loglik=float(ll),
-                     iterations=len(trace), converged=reason != "max-iterations",
-                     reason=reason, trace=trace, optimizer="mmsa", config=config,
-                     wall_time_sec=time.perf_counter() - t0)
+    return _drive("mmsa", _mmsa_step, dataset, spec, config, init_theta, do_standardize)
 
 
-def _backtrack(work, index, basis, theta, direction, g_dot_d, ll0):
+def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0):
     """Armijo backtracking from unit step; returns (new_theta, new_ll) or None."""
     step = 1.0
     for _ in range(MAX_HALVINGS):
         cand = theta + step * direction
-        ll_new = lk.evaluate_report(work, index, basis, cand,
-                                    want_gradient=False).loglik
+        ll_new = problem.loglik(cand)
         if ll_new >= ll0 + ARMIJO_C * step * g_dot_d:
             return cand, ll_new
         step *= ARMIJO_SHRINK
     return None  # numerically zero step; caller treats as no movement
+
+
+def _newton_step(problem: _Problem, config: MmsaConfig, guard: int):
+    def step(theta, m, ll_prev):
+        rep = problem.report(theta, want_full=True, guard=guard)
+        ll, g = rep.loglik, rep.gradient
+        gnorm = np.abs(g).max()
+
+        def move(theta):
+            flat_dir, _ = _ridged_solve(-rep.full_hessian, g, config.ridge, "full Hessian")
+            moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
+                               float(g @ flat_dir), ll)
+            if moved is None:
+                return None  # relative-change stop fires next iteration
+            return moved[0], (-1, float(gnorm), float(ll))
+        return ll, gnorm, move
+    return step
 
 
 def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
@@ -326,38 +402,30 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
     condition holds.  Stops on gradient sup-norm < tol (reported as
     score-threshold) or relative log-likelihood change < tol.
     """
-    config = config or MmsaConfig()
-    t0 = time.perf_counter()
-    work, transform, basis, index = _prepare(dataset, spec, do_standardize)
-    theta = _init_theta(init_theta, work.P, spec.K)
-    trace = []
-    ll_prev = None
-    reason = "max-iterations"
+    return _drive("newton", lambda problem, cfg: _newton_step(problem, cfg, guard),
+                  dataset, spec, config, init_theta, do_standardize)
 
-    for m in range(1, config.max_iterations + 1):
-        rep = lk.evaluate_report(work, index, basis, theta, want_full=True, guard=guard)
+
+def _gradient_step(problem: _Problem, config: MmsaConfig):
+    decreases = 0
+
+    def step(theta, m, ll_prev):
+        nonlocal decreases
+        rep = problem.report(theta)
         ll, g = rep.loglik, rep.gradient
+        if ll_prev is not None:
+            decreases = decreases + 1 if ll < ll_prev else 0
+            if decreases >= 10:
+                raise StepSizeError(
+                    f"log likelihood decreased 10 consecutive iterations at "
+                    f"learning_rate {config.learning_rate}")
         gnorm = np.abs(g).max()
-        if gnorm < config.tol:
-            reason = "score-threshold"
-            break
-        if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
-            reason = "loglik-relative-change"
-            break
-        ll_prev = ll
-        flat_dir, _ = _ridged_solve(-rep.full_hessian, g, config.ridge, "full Hessian")
-        direction = flat_dir.reshape(theta.shape)
-        moved = _backtrack(work, index, basis, theta, direction, float(g @ flat_dir), ll)
-        if moved is None:
-            continue  # relative-change stop fires next iteration
-        trace.append((-1, float(gnorm), float(ll)))
-        theta = moved[0]
 
-    ll = lk.evaluate_report(work, index, basis, theta, want_gradient=False).loglik
-    return FitResult(theta=theta, spec=spec, transform=transform, loglik=float(ll),
-                     iterations=len(trace), converged=reason != "max-iterations",
-                     reason=reason, trace=trace, optimizer="newton", config=config,
-                     wall_time_sec=time.perf_counter() - t0)
+        def move(theta):
+            theta += config.learning_rate * g.reshape(theta.shape)
+            return theta, (-1, float(gnorm), float(ll))
+        return ll, gnorm, move
+    return step
 
 
 def gradient_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
@@ -368,40 +436,38 @@ def gradient_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
     Raises StepSizeError after 10 consecutive log-likelihood decreases
     (divergence at the configured learning rate).
     """
-    config = config or MmsaConfig()
-    t0 = time.perf_counter()
-    work, transform, basis, index = _prepare(dataset, spec, do_standardize)
-    theta = _init_theta(init_theta, work.P, spec.K)
-    trace = []
-    ll_prev = None
-    decreases = 0
-    reason = "max-iterations"
+    return _drive("gradient", _gradient_step, dataset, spec, config, init_theta, do_standardize)
 
-    for m in range(1, config.max_iterations + 1):
-        rep = lk.evaluate_report(work, index, basis, theta)
+
+def _coordinate_step(problem: _Problem, config: MmsaConfig):
+    def step(theta, m, ll_prev):
+        rep = problem.report(theta)
         ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
-        if ll_prev is not None:
-            decreases = decreases + 1 if ll < ll_prev else 0
-            if decreases >= 10:
-                raise StepSizeError(
-                    f"log likelihood decreased 10 consecutive iterations at "
-                    f"learning_rate {config.learning_rate}")
-            if abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
-                reason = "loglik-relative-change"
-                break
-        if gnorm < config.tol:
-            reason = "score-threshold"
-            break
-        ll_prev = ll
-        trace.append((-1, float(gnorm), float(ll)))
-        theta += config.learning_rate * g.reshape(theta.shape)
 
-    ll = lk.evaluate_report(work, index, basis, theta, want_gradient=False).loglik
-    return FitResult(theta=theta, spec=spec, transform=transform, loglik=float(ll),
-                     iterations=len(trace), converged=reason != "max-iterations",
-                     reason=reason, trace=trace, optimizer="gradient", config=config,
-                     wall_time_sec=time.perf_counter() - t0)
+        def move(theta):
+            P, K = theta.shape
+            ll_cur = ll
+            for p in range(P):
+                for k in range(K):
+                    rep_pk = problem.report(theta, want_loglik=False, want_blocks=True)
+                    g_pk = rep_pk.gradient[p * K + k]
+                    if g_pk == 0.0:
+                        continue
+                    # 1x1 solve through the shared factorization path, so the
+                    # PK=1 case reproduces newton_fit's iterates exactly
+                    d1, _ = _ridged_solve(-rep_pk.block_hessians[p][k:k + 1, k:k + 1],
+                                          np.array([g_pk]), config.ridge,
+                                          f"coordinate ({p},{k}) curvature")
+                    d_pk = d1[0]
+                    direction = np.zeros_like(theta)
+                    direction[p, k] = d_pk
+                    moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur)
+                    if moved is not None:
+                        theta, ll_cur = moved
+            return theta, (-1, float(gnorm), float(ll))
+        return ll, gnorm, move
+    return step
 
 
 def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
@@ -413,53 +479,36 @@ def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
     backtracking; stopping matches newton_fit per full cycle.  One trace
     entry is recorded per cycle.
     """
-    config = config or MmsaConfig()
-    t0 = time.perf_counter()
-    work, transform, basis, index = _prepare(dataset, spec, do_standardize)
-    P, K = work.P, spec.K
-    theta = _init_theta(init_theta, P, K)
-    trace = []
-    ll_prev = None
-    reason = "max-iterations"
+    return _drive("coordinate", _coordinate_step, dataset, spec, config, init_theta,
+                  do_standardize)
 
-    for cycle in range(1, config.max_iterations + 1):
-        rep = lk.evaluate_report(work, index, basis, theta)
-        ll, g = rep.loglik, rep.gradient
-        gnorm = np.abs(g).max()
-        if gnorm < config.tol:
-            reason = "score-threshold"
-            break
-        if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
-            reason = "loglik-relative-change"
-            break
-        ll_prev = ll
-        trace.append((-1, float(gnorm), float(ll)))
-        ll_cur = ll
-        for p in range(P):
-            for k in range(K):
-                rep_pk = lk.evaluate_report(work, index, basis, theta,
-                                            want_loglik=False, want_blocks=True)
-                g_pk = rep_pk.gradient[p * K + k]
-                if g_pk == 0.0:
-                    continue
-                # 1x1 solve through the shared factorization path, so the
-                # PK=1 case reproduces newton_fit's iterates exactly
-                d1, _ = _ridged_solve(-rep_pk.block_hessians[p][k:k + 1, k:k + 1],
-                                      np.array([g_pk]), config.ridge,
-                                      f"coordinate ({p},{k}) curvature")
-                d_pk = d1[0]
-                direction = np.zeros_like(theta)
-                direction[p, k] = d_pk
-                moved = _backtrack(work, index, basis, theta, direction,
-                                   g_pk * d_pk, ll_cur)
-                if moved is not None:
-                    theta, ll_cur = moved
 
-    ll = lk.evaluate_report(work, index, basis, theta, want_gradient=False).loglik
-    return FitResult(theta=theta, spec=spec, transform=transform, loglik=float(ll),
-                     iterations=len(trace), converged=reason != "max-iterations",
-                     reason=reason, trace=trace, optimizer="coordinate", config=config,
-                     wall_time_sec=time.perf_counter() - t0)
+def _adagrad_step(problem: _Problem, config: MmsaConfig):
+    acc = 0.0
+    checked = False  # the last update was a 50th and ended in a full-data loglik
+
+    def step(theta, m, ll_prev):
+        nonlocal checked
+        ll = problem.loglik(theta) if checked else None  # kept from the check: no pass
+        checked = False
+
+        def move(theta):
+            nonlocal acc, checked
+            if config.subsample_fraction < 1.0:
+                drawn = _subsample(problem.work, problem.basis, config, m)
+                if drawn is None:
+                    return None
+                g = lk.evaluate_report(*drawn, theta, want_loglik=False).gradient
+            else:
+                g = problem.report(theta, want_loglik=False).gradient
+            acc = acc + g * g
+            theta += (config.learning_rate * g / (np.sqrt(acc) + 1e-8)).reshape(theta.shape)
+            if m % 50 != 0:
+                return theta, None
+            checked = True
+            return theta, (-1, float(np.abs(g).max()), float(problem.loglik(theta)))
+        return ll, None, move
+    return step
 
 
 def adagrad_fit(dataset: SurvivalDataset, spec: SplineSpec,
@@ -472,45 +521,8 @@ def adagrad_fit(dataset: SurvivalDataset, spec: SplineSpec,
     full-data log likelihood every 50 iterations; one trace entry is
     recorded per checkpoint.
     """
-    config = config or MmsaConfig()
-    t0 = time.perf_counter()
-    work, transform, basis, index = _prepare(dataset, spec, do_standardize)
-    P, K = work.P, spec.K
-    theta = _init_theta(init_theta, P, K)
-    acc = np.zeros(P * K)
-    trace = []
-    ll_check = None
-    last_gnorm = 0.0
-    reason = "max-iterations"
-    steps = 0
+    return _drive("adagrad", _adagrad_step, dataset, spec, config, init_theta, do_standardize)
 
-    for m in range(1, config.max_iterations + 1):
-        if config.subsample_fraction < 1.0:
-            drawn = _subsample(work, basis, config, m)
-            if drawn is None:
-                continue
-            g = lk.evaluate_report(*drawn, theta, want_loglik=False).gradient
-        else:
-            g = lk.evaluate_report(work, index, basis, theta,
-                                   want_loglik=False).gradient
-        acc += g * g
-        theta += (config.learning_rate * g / (np.sqrt(acc) + 1e-8)).reshape(P, K)
-        steps = m
-        last_gnorm = float(np.abs(g).max())
-        if m % 50 == 0:
-            ll = lk.evaluate_report(work, index, basis, theta,
-                                    want_gradient=False).loglik
-            trace.append((-1, last_gnorm, float(ll)))
-            if ll_check is not None and abs(ll - ll_check) / (1.0 + abs(ll_check)) < config.tol:
-                reason = "loglik-relative-change"
-                break
-            ll_check = ll
-
-    ll = lk.evaluate_report(work, index, basis, theta, want_gradient=False).loglik
-    return FitResult(theta=theta, spec=spec, transform=transform, loglik=float(ll),
-                     iterations=steps, converged=reason != "max-iterations",
-                     reason=reason, trace=trace, optimizer="adagrad", config=config,
-                     wall_time_sec=time.perf_counter() - t0)
 
 
 def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,

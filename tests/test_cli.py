@@ -132,6 +132,42 @@ class TestFitCommand:
         assert "max_iters" in err
 
 
+class TestConfigFile:
+    """--config values go through the type of their flag, as flag text does."""
+
+    def run_fit(self, tmp_path, capsys, data, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return run(["fit", "--config", str(cfg), "--data", data, "--optimizer", "newton",
+                    "--out", str(tmp_path / "fit")], capsys)
+
+    def test_numbers_given_as_strings_are_parsed(self, tmp_path, capsys):
+        data = simulate_csv(tmp_path, capsys)
+        rc, _, err = self.run_fit(tmp_path, capsys, data, {"K": "4", "nu": "0.1"})
+        assert rc == 0, err
+        resolved = json.loads((tmp_path / "fit" / "fit.json").read_text())["resolved_config"]
+        assert resolved["K"] == 4 and resolved["nu"] == 0.1
+
+    @pytest.mark.parametrize("values", [
+        {"K": "four"}, {"K": 4.5}, {"K": [4]}, {"nu": "fast"}, {"max_iter": 2.5},
+        {"tol": None}, {"seed": True}, {"optimizer": "sgd"},
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, values):
+        rc, _, err = self.run_fit(tmp_path, capsys, "unread.csv", values)
+        assert rc == 1
+        assert err.startswith("ERROR USAGE:") and len(err.splitlines()) == 1
+        assert next(iter(values)) in err
+
+    @pytest.mark.parametrize("document", ['"x"', '[1, "a"]', "3"])
+    def test_file_must_hold_an_object(self, tmp_path, capsys, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        rc, _, err = run(["fit", "--config", str(cfg), "--data", "unread.csv", "--K", "4"],
+                         capsys)
+        assert rc == 1
+        assert err == "ERROR USAGE: config file must hold a JSON object\n"
+
+
 class TestSimulateCommand:
     def test_deterministic_with_expected_line_counts(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

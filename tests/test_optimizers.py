@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from tvcox import (
     MmsaConfig,
     StepSizeError,
 )
+from tvcox.inference import fit_by_name
 from tvcox.likelihood import LikelihoodReport, evaluate_report
 from tvcox.optimizers import mmsa_block_quantities, verify_ascent_condition
 
@@ -324,6 +326,31 @@ class TestFitResult:
             MmsaConfig(tol=-1e-6)
         with pytest.raises(ValueError):
             MmsaConfig(max_iterations=0)
+
+
+# a config under which each optimizer converges on make_instance(19) in well
+# under a second, and an iteration cap that stops it first (adagrad's cap is a
+# multiple of its 50-update check)
+CONVERGING = {
+    "mmsa": (MmsaConfig(), 2),
+    "newton": (MmsaConfig(), 2),
+    "gradient": (MmsaConfig(learning_rate=0.03), 2),
+    "coordinate": (MmsaConfig(), 2),
+    "adagrad": (MmsaConfig(learning_rate=0.3), 100),
+}
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["converged", "max-iterations"])
+@pytest.mark.parametrize("name", sorted(CONVERGING))
+def test_reported_loglik_is_at_the_returned_theta(name, capped):
+    ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+    config, cap = CONVERGING[name]
+    if capped:
+        config = dataclasses.replace(config, max_iterations=cap)
+    fit = fit_by_name(name)(ds, spec, config)
+    assert fit.converged is not capped
+    work, _ = tv.standardize(ds)
+    assert fit.loglik == pytest.approx(full_loglik(work, spec, fit.theta), abs=1e-12)
 
 
 class TestAscentCertificate:
