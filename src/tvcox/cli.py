@@ -8,8 +8,9 @@ Exit codes: 0 success/convergence, 2 fit stopped at max-iterations,
 1 any error.  Errors print one machine-parsable line ``ERROR <CODE>:
 message`` on stderr.  Output files are written to a temporary name and
 renamed, so a failed run leaves no partial files; every output embeds the
-resolved configuration and the version string.  A ``--config`` JSON file
-may supply any flag value; explicit flags win.
+resolved configuration and the version string.  A ``--config`` JSON object
+may set any flag of its subcommand, parsed like the flag's text; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .splines import make_spec
 
 def _optimizer(name: str) -> str:
     """Flag type of --optimizer: a name that ``inference.fit_by_name`` knows."""
+    # argparse lets a UsageError through: a flag and a --config value get one message
     try:
         inference.fit_by_name(name)
     except ValueError as e:
@@ -95,8 +97,10 @@ def _apply_thread_env():
 
 
 def _atomic_write(path: str, content) -> None:
-    """Write ``content`` (text, or a function that writes a file by name) to a
-    new file beside ``path``, then rename that file to ``path``."""
+    """Write a new file beside ``path``, then rename it to ``path``.
+
+    ``content`` is the text, or a function that writes the file it is given the name of.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tvcox-")

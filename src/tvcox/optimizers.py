@@ -21,13 +21,13 @@ default and record the transform on the result.
 Each ``*_fit`` is a small step function run by one private driver,
 ``_drive``, which owns the loop, the trace and the ``FitResult``.  Every
 iteration is checked in one order: the method's own guard (MMSA's ascent
-check, gradient ascent's ten consecutive decreases), then the score test
-(criterion < tol), then the relative change of the full-data log
-likelihood.  Stochastic MMSA and Adagrad have no score test.  A
-stochastic MMSA draw with no events, or with every block score below
-tol, makes no update, so the unchanged log likelihood stops the fit one
-iteration later.  The reported log likelihood is a loglik-only pass at the
-returned theta, reused when a step already made that pass there.
+check, gradient ascent's ten decreases), then the score test (none in
+stochastic MMSA and Adagrad), then the relative change of the full-data
+log likelihood.  A stochastic MMSA draw with no events, or with every
+block score below tol, makes no update, so the unchanged log likelihood
+stops the fit one iteration later.  The reported log likelihood is a
+loglik-only pass at the returned theta, reused when a step already made
+that pass there.
 """
 
 from __future__ import annotations
