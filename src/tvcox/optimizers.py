@@ -18,8 +18,8 @@ fixed-step gradient ascent, cyclic coordinate ascent, and Adagrad on
 subsampled gradients.  All optimizers standardize covariates internally by
 default and record the transform on the result.
 
-Each ``*_fit`` is a small step function run by one private driver,
-``_drive``, which owns the loop, the trace and the ``FitResult``.  Every
+Each ``*_fit`` is a small step function run by one private loop,
+``_drive``, which owns the stopping, the trace and the ``FitResult``.  Every
 iteration is checked in one order: the method's own guard (MMSA's ascent
 check, gradient ascent's ten decreases), then the score test (none in
 stochastic MMSA and Adagrad), then the relative change of the full-data
