@@ -23,11 +23,15 @@ Each ``*_fit`` is a small step function run by one private loop,
 iteration is checked in one order: the method's own guard (MMSA's ascent
 check, gradient ascent's ten decreases), then the score test (none in
 stochastic MMSA and Adagrad), then the relative change of the full-data
-log likelihood.  A stochastic MMSA draw with no events, or with every
-block score below tol, makes no update, so the unchanged log likelihood
-stops the fit one iteration later.  The reported log likelihood is a
-loglik-only pass at the returned theta, reused when a step already made
-that pass there.
+log likelihood.  That test compares each full-data log likelihood with
+the previous one and allows tol per update made between them, so a step
+that makes no update cannot pass it by leaving theta where it was.
+Stochastic MMSA draws its updates from subsamples and makes its
+full-data loglik-only pass only at the first iteration and after every
+window of 20 updates; a draw with no events, or with every block score
+below tol, makes no update and brings the next check no closer.  The
+reported log likelihood is a loglik-only pass at the returned theta,
+reused when a step already made that pass there.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ ARMIJO_SHRINK = 0.5
 MAX_HALVINGS = 60    # below 2^-60 the step is numerically zero
 ASCENT_SLACK = 1e-10
 RIDGE_CEIL = 1e-2
+_CHECK_WINDOW = 20   # updates between stochastic MMSA's full-data log likelihoods
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,11 @@ class MmsaConfig:
     max_iterations : int
     tol : float
         Convergence threshold for both the score criterion and the
-        relative log-likelihood change.
+        relative log-likelihood change.  The relative change between two
+        full-data log likelihoods is compared with tol times the number
+        of updates between them (at least one): the mean change per
+        update.  Adagrad compares the change between its checks, made
+        every 50 iterations, with tol itself.
     ridge : float
         Diagonal added to negated Hessian blocks before factorization;
         escalated geometrically up to 1e-2 when a block is not positive
@@ -128,8 +137,12 @@ class FitResult:
     ``theta`` is on the fitting (standardized) scale when a transform is
     present; ``theta_original`` undoes the scaling.  ``trace`` holds one
     entry per update: (selected block or -1 when the optimizer has no
-    block structure, stopping-criterion value, log-likelihood before the
-    update).  ``converged`` is False only for the max-iterations reason.
+    block structure, stopping-criterion value, log likelihood at the
+    latest full-data check).  That check is made right before each update,
+    except in stochastic MMSA (at the first iteration and after every 20
+    updates) and Adagrad (right after the update of every 50th iteration,
+    the only updates it records).  ``converged`` is False only for the
+    max-iterations reason.
     """
 
     theta: np.ndarray
@@ -253,14 +266,18 @@ class _Problem:
 
 
 def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
-           config: MmsaConfig | None, init_theta, do_standardize: bool) -> FitResult:
+           config: MmsaConfig | None, init_theta, do_standardize: bool,
+           per_update: bool = True) -> FitResult:
     """Run one fit with the step function that ``make_step(problem, config)`` returns.
 
     ``step(theta, m, ll_prev)`` evaluates iteration m, runs the method's
     guard and returns ``(loglik, score, move)``: the full-data log
     likelihood and the stopping criterion, each None when not evaluated,
     and ``move(theta)``, which updates and returns ``(theta, trace entry
-    or None)``, or returns None when there is no update.
+    or None)``, or returns None when there is no update.  The relative
+    change of a log likelihood from the previous one stops the fit below
+    tol times the updates made between them (at least one), or below tol
+    when not ``per_update``.
     """
     config = config or MmsaConfig()
     t0 = time.perf_counter()
@@ -270,6 +287,7 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
     step = make_step(problem, config)
     trace = []
     updates = 0
+    since = 0  # updates since ll_prev
     ll_prev = None
     reason = "max-iterations"
 
@@ -279,15 +297,17 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
             reason = "score-threshold"
             break
         if ll is not None:
-            if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < config.tol:
+            tol = config.tol * max(1, since) if per_update else config.tol
+            if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < tol:
                 reason = "loglik-relative-change"
                 break
-            ll_prev = ll
+            ll_prev, since = ll, 0
         moved = move(theta)
         if moved is None:
             continue
         theta, entry = moved
         updates += 1
+        since += 1
         if entry is not None:
             trace.append(entry)
 
@@ -322,12 +342,21 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
             return theta, (p_star, c_star, ll)
         return ll, c_star, move
 
+    since = _CHECK_WINDOW  # updates since the latest full-data check: check first
+    checked = None         # its log likelihood
+
     def stochastic(theta, m, ll_prev):
-        # the stopping tests use the full data; the draw only picks the update
-        ll = problem.loglik(theta)
+        # the draw only picks the update; the stopping test needs a full-data
+        # pass, which costs many subsample passes, so it is made once per window
+        nonlocal since, checked
+        ll = None
+        if since >= _CHECK_WINDOW:
+            ll = checked = problem.loglik(theta)
+            since = 0
         drawn = _subsample(problem.work, problem.basis, config, m)
 
         def move(theta):
+            nonlocal since
             if drawn is None:
                 return None  # eventless draw: no usable score this iteration
             rep = lk.evaluate_report(*drawn, theta, want_loglik=False, want_blocks=True)
@@ -335,7 +364,8 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
             if c_star < config.tol:
                 return None  # no ascent direction on this draw
             theta[p_star] += nu * direction
-            return theta, (p_star, c_star, ll)
+            since += 1
+            return theta, (p_star, c_star, checked)
         return ll, None, move
 
     return stochastic if config.subsample_fraction < 1.0 else full
@@ -349,8 +379,12 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     (on an eta-subsample when configured), pick p* = argmax_p c_p (ties to
     the smallest index), and move that block by ``nu`` times its ridged
     Newton direction.  Stops when max_p c_p < tol, when the relative
-    change of the full-data log likelihood falls below tol, or at
-    max_iterations.
+    change of the full-data log likelihood falls below tol per update, or
+    at max_iterations.  With subsampling, a draw whose max_p c_p is below
+    tol makes no update, and the full-data log likelihood is evaluated
+    only at the first iteration and after every 20 updates: the fit stops
+    when the relative change since the previous such check is below
+    20 * tol, and returns the checked theta.
 
     Raises
     ------
@@ -521,7 +555,8 @@ def adagrad_fit(dataset: SurvivalDataset, spec: SplineSpec,
     full-data log likelihood every 50 iterations; one trace entry is
     recorded per checkpoint.
     """
-    return _drive("adagrad", _adagrad_step, dataset, spec, config, init_theta, do_standardize)
+    return _drive("adagrad", _adagrad_step, dataset, spec, config, init_theta, do_standardize,
+                  per_update=False)
 
 
 

@@ -106,6 +106,22 @@ class TestFitCommand:
         strip = lambda t: [l for l in t.splitlines() if "wall_time_sec" not in l]
         assert strip(texts[0]["fit.json"]) == strip(texts[1]["fit.json"])
 
+    def test_subsampled_mmsa_converges_and_reruns_identically(self, tmp_path, capsys):
+        data = str(tmp_path / "data.csv")
+        rc, _, err = run(["simulate", "--setting", "1", "--n", "200", "--P", "2",
+                          "--seed", "5", "--out", data], capsys)
+        assert rc == 0, err
+        out = tmp_path / "fit"
+        texts = []
+        for _ in range(2):
+            rc, stdout, _ = run(["fit", "--data", data, "--K", "4", "--optimizer", "mmsa",
+                                 "--eta", "0.2", "--out", str(out)], capsys)
+            assert rc == 0
+            assert "converged" in stdout
+            texts.append((out / "fit.json").read_text())
+        strip = lambda t: "\n".join(l for l in t.splitlines() if "wall_time_sec" not in l)
+        assert strip(texts[0]) == strip(texts[1])
+
     def test_config_file_merge_with_flag_precedence(self, tmp_path, capsys):
         data = simulate_csv(tmp_path, capsys)
         cfg = tmp_path / "cfg.json"

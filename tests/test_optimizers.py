@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tvcox import (
     MmsaConfig,
     StepSizeError,
 )
+from tvcox import optimizers
 from tvcox.inference import fit_by_name
 from tvcox.likelihood import LikelihoodReport, evaluate_report
 from tvcox.optimizers import mmsa_block_quantities, verify_ascent_condition
@@ -395,3 +397,92 @@ class TestAscentCertificate:
                               want_gradient=False)
         with pytest.raises(ValueError):
             verify_ascent_condition(ds, index, basis, rep, np.zeros((1, 1)), 0.1)
+
+
+def eventless_instance():
+    """50 subjects with 2 events: most 3-subject draws (eta 0.06) have none."""
+    rng = np.random.default_rng(12)
+    status = np.zeros(50, dtype=np.int8)
+    status[[3, 17]] = 1
+    ds = tv.SurvivalDataset(time=rng.exponential(1, 50), status=status,
+                            stratum=np.zeros(50, dtype=np.int64), stratum_labels=("s",),
+                            covariates=rng.standard_normal((50, 1)), covariate_names=("x",))
+    return ds, tv.SplineSpec(degree=0, interior=np.array([]), domain=(0.0, 3.0))
+
+
+def count_passes(monkeypatch):
+    """Count full-data loglik-only and blocks passes through evaluate_report."""
+    counts = {"loglik": 0, "blocks": 0}
+    real = optimizers.lk.evaluate_report
+
+    def counted(dataset, index, basis, theta, **wants):
+        if not wants.get("want_gradient", True):
+            counts["loglik"] += 1
+        if wants.get("want_blocks"):
+            counts["blocks"] += 1
+        return real(dataset, index, basis, theta, **wants)
+    monkeypatch.setattr(optimizers.lk, "evaluate_report", counted)
+    return counts
+
+
+def record_checks(monkeypatch):
+    """(theta, loglik) of every full-data loglik-only pass a fit asks for."""
+    checks = []
+    real = optimizers._Problem.loglik
+
+    def recorded(problem, theta):
+        ll = real(problem, theta)
+        checks.append((theta.copy(), ll))
+        return ll
+    monkeypatch.setattr(optimizers._Problem, "loglik", recorded)
+    return checks
+
+
+# converges after about a thousand updates on make_instance(19, n=120), or is capped
+STOCHASTIC = [MmsaConfig(subsample_fraction=0.3, seed=4),
+              MmsaConfig(subsample_fraction=0.3, seed=4, max_iterations=75)]
+
+
+class TestStochasticCheckWindow:
+    WINDOW = optimizers._CHECK_WINDOW
+
+    def test_draws_without_update_do_not_stop_the_fit(self):
+        ds, spec = eventless_instance()
+        fit = tv.mmsa_fit(ds, spec, MmsaConfig(subsample_fraction=0.06,
+                                               max_iterations=30, seed=1))
+        assert fit.iterations >= 1
+        assert not (fit.converged and fit.iterations == 0)
+
+    @pytest.mark.parametrize("config", STOCHASTIC, ids=["converged", "max-iterations"])
+    def test_full_data_passes_once_per_window(self, config, monkeypatch):
+        ds, spec, _, _ = make_instance(19, n=120, P=2, K=3)
+        counts = count_passes(monkeypatch)
+        fit = tv.mmsa_fit(ds, spec, config)
+        assert fit.converged is (config.max_iterations > 75)
+        assert fit.iterations > 2 * self.WINDOW
+        assert counts["loglik"] <= math.ceil(fit.iterations / self.WINDOW) + 2
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_deterministic_mmsa_passes_are_unchanged(self, cap, monkeypatch):
+        ds, spec, _, _ = make_instance(19, n=120, P=2, K=3)
+        counts = count_passes(monkeypatch)
+        fit = tv.mmsa_fit(ds, spec, MmsaConfig(max_iterations=cap or 20000))
+        assert fit.converged is (cap is None)
+        assert counts["blocks"] == fit.iterations + fit.converged
+        assert counts["loglik"] == 1  # the reported value only
+
+    @pytest.mark.parametrize("config", STOCHASTIC, ids=["converged", "max-iterations"])
+    def test_trace_holds_the_latest_full_data_check(self, config, monkeypatch):
+        ds, spec, _, _ = make_instance(19, n=120, P=2, K=3)
+        checks = record_checks(monkeypatch)
+        fit = tv.mmsa_fit(ds, spec, config)
+        work, _ = tv.standardize(ds)
+        np.testing.assert_array_equal(checks[0][0], np.zeros((2, 3)))
+        for theta, ll in checks:
+            assert ll == pytest.approx(full_loglik(work, spec, theta), abs=1e-12)
+        for i, (_, _, ll) in enumerate(fit.trace):
+            assert ll == checks[i // self.WINDOW][1]
+        n_checks = math.ceil(len(fit.trace) / self.WINDOW)
+        assert len({ll for _, _, ll in fit.trace}) <= n_checks
+        if fit.converged:
+            np.testing.assert_array_equal(fit.theta, checks[n_checks][0])
