@@ -15,8 +15,7 @@ Run:  python3 demos/02_fit_time_varying_effects.py
 
 import numpy as np
 
-from tvcox import evaluate_batch, make_spec
-from tvcox.data import build_risk_index, standardize
+from tvcox import make_spec
 from tvcox.inference import covariance_from_hessian, curve_with_bands
 from tvcox.likelihood import full_hessian
 from tvcox.optimizers import MmsaConfig, newton_fit
@@ -32,12 +31,10 @@ fit = newton_fit(dataset, spec, MmsaConfig(tol=1e-8))
 print(f"newton fit: loglik = {fit.loglik:.4f} after {fit.iterations} iterations "
       f"(stopped on {fit.reason})")
 
-# covariance of the flattened coefficients on the fitting scale, then
-# curves and bands mapped back to the original covariate scale
-work, _ = standardize(dataset)
-index = build_risk_index(work)
-basis = evaluate_batch(spec, work.time)
-cov = covariance_from_hessian(full_hessian(work, index, basis, fit.theta))
+# covariance of the flattened coefficients on the fitting scale, from the
+# data the fit ran on, then curves and bands mapped back to the original
+# covariate scale
+cov = covariance_from_hessian(full_hessian(*fit.fitting_data, fit.theta))
 
 grid = np.linspace(0.1, 2.5, 80)
 curves = curve_with_bands(fit.theta, cov, spec, grid, transform=fit.transform)

@@ -15,8 +15,7 @@ Run:  python3 demos/03_constancy_test.py  (a few seconds)
 
 import numpy as np
 
-from tvcox import evaluate_batch, make_spec
-from tvcox.data import build_risk_index, standardize
+from tvcox import make_spec
 from tvcox.inference import test_all_covariates
 from tvcox.likelihood import score_residuals
 from tvcox.optimizers import MmsaConfig, newton_fit
@@ -29,10 +28,7 @@ def fit_and_test(gamma, seed, n=500, K=4):
     dataset = generate(scen)
     spec = make_spec(degree=3, K=K, event_times=dataset.event_times)
     fit = newton_fit(dataset, spec, MmsaConfig(tol=1e-8))
-    work, _ = standardize(dataset)
-    index = build_risk_index(work)
-    basis = evaluate_batch(spec, work.time)
-    resid = score_residuals(work, index, basis, fit.theta)
+    resid = score_residuals(*fit.fitting_data, fit.theta)
     return test_all_covariates(fit.theta, resid)
 
 

@@ -13,13 +13,21 @@ import sys
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def thread_limit(value: str):
+    """The thread count ``value`` names, or None when it is not a positive integer."""
+    try:
+        limit = int(value)
+    except ValueError:
+        return None
+    return limit if limit > 0 else None
+
+
 def _cap_before_numpy():
     value = os.environ.get("TVCOX_NUM_THREADS")
     if not value or "numpy" in sys.modules:
         return None
-    try:
-        limit = int(value)
-    except ValueError:
+    limit = thread_limit(value)
+    if limit is None:
         return None  # the CLI reports it as a usage error
     for var in _BLAS_THREAD_VARS:
         os.environ.setdefault(var, str(limit))

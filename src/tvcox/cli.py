@@ -29,7 +29,7 @@ from . import _threads, inference, likelihood, simulate
 from ._version import __version__
 from .data import load_csv, write_csv
 from .errors import TvcoxError, UsageError
-from .optimizers import MmsaConfig, _prepare
+from .optimizers import MmsaConfig
 from .splines import make_spec
 
 
@@ -81,10 +81,9 @@ def _apply_thread_env():
     value = os.environ.get("TVCOX_NUM_THREADS")
     if not value:
         return
-    try:
-        limit = int(value)
-    except ValueError:
-        raise UsageError(f"TVCOX_NUM_THREADS must be an integer, got {value!r}") from None
+    limit = _threads.thread_limit(value)
+    if limit is None:
+        raise UsageError(f"TVCOX_NUM_THREADS must be a positive integer, got {value!r}")
     try:
         import threadpoolctl
     except ImportError:
@@ -195,8 +194,7 @@ def _mmsa_config(cfg: dict) -> MmsaConfig:
 def _fit_and_tests(dataset, spec, cfg):
     """Fit plus the inference pieces the fit/bench commands share."""
     fit = inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
-    work, _, basis, index = _prepare(dataset, spec, fit.transform is not None)
-    resid = likelihood.score_residuals(work, index, basis, fit.theta)
+    resid = likelihood.score_residuals(*fit.fitting_data, fit.theta)
     tests = inference.test_all_covariates(fit.theta, resid) if spec.K >= 2 else []
     return fit, resid, tests
 
@@ -261,6 +259,8 @@ def cmd_bench(args) -> int:
     names = [_optimizer(s.strip()) for s in cfg["optimizers"].split(",") if s.strip()]
     if not names:
         raise UsageError("--optimizers must list at least one optimizer")
+    if cfg["replicates"] < 1:
+        raise UsageError("--replicates must be at least 1")
 
     rows = []
     ok = {name: 0 for name in names}
@@ -304,6 +304,8 @@ def cmd_cv(args) -> int:
         raise UsageError(f"cannot parse --K-grid {cfg['K_grid']!r}") from None
     if not candidates:
         raise UsageError("--K-grid must list at least one K")
+    if cfg["folds"] < 2:
+        raise UsageError("--folds must be at least 2")
     dataset = load_csv(cfg["data"])
     report = inference.cross_validate_K(dataset, candidates, folds=cfg["folds"],
                                         config=_mmsa_config(cfg), degree=cfg["degree"],

@@ -26,7 +26,7 @@ from . import likelihood as lk
 from . import optimizers as opt
 from .data import SurvivalDataset, build_risk_index
 from .errors import ConditioningError, FoldConstructionError, RankDeficiencyError
-from .splines import BasisMatrix, SplineSpec, evaluate_batch, make_spec
+from .splines import SplineSpec, evaluate_batch, make_spec
 
 __all__ = [
     "Z95",
@@ -265,10 +265,10 @@ def cross_validate_K(dataset: SurvivalDataset, candidate_Ks, folds: int = 5,
     """Choose K by cross-validated partial likelihood.
 
     For fold k with training fit theta_k, the fold score is
-    CV_k = loglik_full(theta_k) - loglik_train(theta_k); both terms use the
-    original covariate scale, where the partial likelihood is invariant to
-    the training standardization.  The chosen K maximizes the summed score;
-    ties go to the smallest K, then the first occurrence.
+    CV_k = loglik_full(theta_k) - loglik_train(theta_k), where loglik_train
+    is the fold fit's reported log likelihood: the partial likelihood is
+    invariant to the fit's standardization.  The chosen K maximizes the
+    summed score; ties go to the smallest K, then the first occurrence.
     """
     config = config or opt.MmsaConfig()
     candidates = [int(K) for K in candidate_Ks]
@@ -283,14 +283,9 @@ def cross_validate_K(dataset: SurvivalDataset, candidate_Ks, folds: int = 5,
         spec = make_spec(degree=degree, K=K, event_times=dataset.event_times)
         full_basis = evaluate_batch(spec, dataset.time)
         for k in range(folds):
-            train_rows = np.flatnonzero(assign != k)
-            train = dataset.subset(train_rows)
-            result = fit(train, spec, config)
-            theta = result.theta_original
-            train_basis = BasisMatrix(times=train.time,
-                                      values=full_basis.values[train_rows])
-            ll_train = lk.evaluate_report(train, build_risk_index(train), train_basis,
-                                          theta, want_gradient=False).loglik
+            result = fit(dataset.subset(np.flatnonzero(assign != k)), spec, config)
+            theta, ll_train = result.theta_original, result.loglik
+            del result  # frees its fitting data before the full-data pass and the next fit
             ll_full = lk.evaluate_report(dataset, full_index, full_basis,
                                          theta, want_gradient=False).loglik
             per_fold[i, k] = ll_full - ll_train

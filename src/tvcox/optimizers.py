@@ -16,7 +16,7 @@ available through :func:`mmsa_block_quantities` and the fit trace.
 Baselines used for benchmarking: full-Hessian Newton with backtracking,
 fixed-step gradient ascent, cyclic coordinate ascent, and Adagrad on
 subsampled gradients.  All optimizers standardize covariates internally by
-default and record the transform on the result.
+default and record the transform, and the data they fitted, on the result.
 
 Each ``*_fit`` is a small step function run by one private loop,
 ``_drive``, which owns the stopping, the trace and the ``FitResult``.  Every
@@ -37,7 +37,7 @@ reused when a step already made that pass there.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -135,14 +135,17 @@ class FitResult:
     """Outcome of one optimizer run.
 
     ``theta`` is on the fitting (standardized) scale when a transform is
-    present; ``theta_original`` undoes the scaling.  ``trace`` holds one
-    entry per update: (selected block or -1 when the optimizer has no
-    block structure, stopping-criterion value, log likelihood at the
-    latest full-data check).  That check is made right before each update,
-    except in stochastic MMSA (at the first iteration and after every 20
-    updates) and Adagrad (right after the update of every 50th iteration,
-    the only updates it records).  ``converged`` is False only for the
-    max-iterations reason.
+    present; ``theta_original`` undoes the scaling.  ``fitting_data`` is the
+    ``(dataset, index, basis)`` the fit ran on, on the fitting scale and in
+    the likelihood functions' argument order, as in
+    ``score_residuals(*fit.fitting_data, fit.theta)``; the result keeps
+    these arrays alive.  ``trace`` holds one entry per update: (selected
+    block or -1 when the optimizer has no block structure, stopping-criterion
+    value, log likelihood at the latest full-data check).  That check is made
+    right before each update, except in stochastic MMSA (at the first
+    iteration and after every 20 updates) and Adagrad (right after the update
+    of every 50th iteration, the only updates it records).  ``converged`` is
+    False only for the max-iterations reason.
     """
 
     theta: np.ndarray
@@ -156,6 +159,7 @@ class FitResult:
     optimizer: str
     config: MmsaConfig
     wall_time_sec: float = 0.0
+    fitting_data: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_original(self) -> np.ndarray:
@@ -180,16 +184,6 @@ class FitResult:
             "trace": [[int(b), float(c), float(l)] for b, c, l in trace],
             "wall_time_sec": float(self.wall_time_sec),
         }
-
-
-def _prepare(dataset: SurvivalDataset, spec: SplineSpec, do_standardize: bool):
-    transform = None
-    work = dataset
-    if do_standardize:
-        work, transform = standardize(dataset)
-    basis = evaluate_batch(spec, work.time)
-    index = build_risk_index(work)
-    return work, transform, basis, index
 
 
 def _ridged_solve(A: np.ndarray, rhs: np.ndarray, ridge: float, label: str):
@@ -227,14 +221,14 @@ def mmsa_block_quantities(report: lk.LikelihoodReport, p: int, ridge: float):
     return max(float(g @ direction), 0.0), direction
 
 
-def _subsample(work: SurvivalDataset, basis: BasisMatrix, config: MmsaConfig,
-               iteration: int):
-    """Draw the eta-fraction subsample for one iteration.
+def _subsample(data: tuple, config: MmsaConfig, iteration: int):
+    """Draw the eta-fraction subsample of ``(dataset, index, basis)`` for one iteration.
 
     Counter-based: Philox keyed by the seed with the iteration as counter,
     so any iteration's draw is reproducible in isolation.  Returns
     (dataset, index, basis) or None when the draw contains no events.
     """
+    work, _, basis = data
     n = work.n
     k = min(n, max(1, int(round(config.subsample_fraction * n))))
     gen = np.random.Generator(np.random.Philox(key=config.seed,
@@ -251,12 +245,15 @@ class _Problem:
     """One fit's data on the fitting scale and its likelihood passes."""
 
     def __init__(self, dataset: SurvivalDataset, spec: SplineSpec, do_standardize: bool):
-        self.work, self.transform, self.basis, self.index = _prepare(
-            dataset, spec, do_standardize)
+        self.transform = None
+        if do_standardize:
+            dataset, self.transform = standardize(dataset)
+        basis = evaluate_batch(spec, dataset.time)
+        self.data = (dataset, build_risk_index(dataset), basis)
         self._latest = None  # (theta, loglik) of the latest loglik-only pass
 
     def report(self, theta, **wants) -> lk.LikelihoodReport:
-        return lk.evaluate_report(self.work, self.index, self.basis, theta, **wants)
+        return lk.evaluate_report(*self.data, theta, **wants)
 
     def loglik(self, theta: np.ndarray) -> float:
         """Full-data log likelihood at theta from a loglik-only pass, kept for reuse."""
@@ -282,7 +279,7 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
     config = config or MmsaConfig()
     t0 = time.perf_counter()
     problem = _Problem(dataset, spec, do_standardize)
-    P, K = problem.work.P, spec.K
+    P, K = dataset.P, spec.K
     theta = np.zeros((P, K)) if init_theta is None else lk.as_matrix(init_theta, P, K).copy()
     step = make_step(problem, config)
     trace = []
@@ -315,7 +312,7 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
                      loglik=float(problem.loglik(theta)), iterations=updates,
                      converged=reason != "max-iterations", reason=reason, trace=trace,
                      optimizer=optimizer, config=config,
-                     wall_time_sec=time.perf_counter() - t0)
+                     wall_time_sec=time.perf_counter() - t0, fitting_data=problem.data)
 
 
 def _best_block(report: lk.LikelihoodReport, ridge: float):
@@ -353,7 +350,7 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
         if since >= _CHECK_WINDOW:
             ll = checked = problem.loglik(theta)
             since = 0
-        drawn = _subsample(problem.work, problem.basis, config, m)
+        drawn = _subsample(problem.data, config, m)
 
         def move(theta):
             nonlocal since
@@ -529,7 +526,7 @@ def _adagrad_step(problem: _Problem, config: MmsaConfig):
         def move(theta):
             nonlocal acc, checked
             if config.subsample_fraction < 1.0:
-                drawn = _subsample(problem.work, problem.basis, config, m)
+                drawn = _subsample(problem.data, config, m)
                 if drawn is None:
                     return None
                 g = lk.evaluate_report(*drawn, theta, want_loglik=False).gradient

@@ -52,3 +52,15 @@ def make_instance(seed, n=80, P=2, K=3, J=2, degree=2, tie_fraction=0.3):
 @pytest.fixture
 def instance_factory():
     return make_instance
+
+
+def count_risk_indexes(monkeypatch):
+    """A list that grows by one on every ``RiskIndex`` construction."""
+    built = []
+    real = tv.RiskIndex.__init__
+
+    def counted(self, dataset):
+        built.append(dataset.n)
+        real(self, dataset)
+    monkeypatch.setattr(tv.RiskIndex, "__init__", counted)
+    return built

@@ -11,6 +11,8 @@ import tvcox
 from tvcox.cli import main
 from tvcox.data import SurvivalDataset, write_csv
 
+from conftest import count_risk_indexes
+
 
 def run(argv, capsys):
     rc = main(argv)
@@ -57,6 +59,14 @@ class TestFitCommand:
         assert theader == ["covariate", "statistic", "df", "p_value", "information"]
         assert [r[0] for r in trows] == ["x1", "x2"]
         assert all(r[4] == "empirical" for r in trows)
+
+    def test_builds_one_risk_index(self, tmp_path, capsys, monkeypatch):
+        data = simulate_csv(tmp_path, capsys)
+        built = count_risk_indexes(monkeypatch)
+        rc, _, err = run(["fit", "--data", data, "--K", "4", "--optimizer", "newton",
+                          "--out", str(tmp_path / "fit")], capsys)
+        assert rc == 0, err
+        assert built == [150]
 
     def test_exit_two_when_stopped_at_max_iterations(self, tmp_path, capsys):
         data = simulate_csv(tmp_path, capsys)
@@ -240,6 +250,16 @@ class TestUsageErrors:
         assert rc == 1
         assert "TVCOX_NUM_THREADS" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_thread_env(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TVCOX_NUM_THREADS", value)
+        out = tmp_path / "x.csv"
+        rc, _, err = run(["simulate", "--setting", "3", "--n", "10",
+                          "--seed", "1", "--out", str(out)], capsys)
+        assert rc == 1
+        assert err.startswith("ERROR USAGE: TVCOX_NUM_THREADS")
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -298,6 +318,16 @@ class TestBenchCommand:
         assert rc == 1
         assert "unknown optimizer 'sgd'" in err
 
+    def test_zero_replicates_rejected(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc, stdout, err = run(["bench", "--setting", "3", "--n", "50", "--K", "4",
+                               "--optimizers", "newton", "--replicates", "0",
+                               "--seed", "1", "--out", str(out)], capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert err.splitlines() == ["ERROR USAGE: --replicates must be at least 1"]
+        assert not out.exists()
+
 
 class TestCvCommand:
     def test_smoke_and_determinism(self, tmp_path, capsys):
@@ -324,6 +354,15 @@ class TestCvCommand:
                           "--seed", "1", "--out", str(tmp_path)], capsys)
         assert rc == 1
         assert "cannot parse --K-grid" in err
+
+    def test_single_fold_rejected(self, tmp_path, capsys):
+        data = simulate_csv(tmp_path, capsys, n=60, seed=8)
+        out = tmp_path / "cv"
+        rc, _, err = run(["cv", "--data", data, "--K-grid", "4", "--folds", "1",
+                          "--seed", "1", "--out", str(out)], capsys)
+        assert rc == 1
+        assert err.splitlines() == ["ERROR USAGE: --folds must be at least 2"]
+        assert not out.exists()
 
 
 class TestEntryPoint:
@@ -366,6 +405,14 @@ class TestThreadCap:
         assert proc.returncode == 0, proc.stderr
         # a variable the user set is kept
         assert proc.stdout.split() == ["1", "3", "1"]
+
+    def test_import_ignores_a_non_positive_cap(self):
+        proc = self.run_child(
+            "import os, tvcox\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+            TVCOX_NUM_THREADS="0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["None"]
 
     def test_warns_when_numpy_was_loaded_first(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -31,7 +31,7 @@ from tvcox.optimizers import newton_fit
 from tvcox.simulate import ScenarioSpec, generate
 from tvcox.splines import evaluate_batch, make_spec
 
-from conftest import make_instance
+from conftest import count_risk_indexes, make_instance
 from reference import chi2_upper_tail
 
 # P(chi2_1 > 1) = P(|Z| > 1) = erfc(1/sqrt(2)), a classic desk constant
@@ -402,6 +402,13 @@ class TestCrossValidation:
         ll_train = evaluate_report(train, build_risk_index(train), train_basis,
                                    theta, want_gradient=False).loglik
         assert rep.per_fold[0, 0] == pytest.approx(ll_full - ll_train, rel=1e-10)
+
+    def test_builds_one_index_per_fold_fit_and_one_for_the_full_data(self, monkeypatch):
+        ds = make_instance(34, n=120, P=2, K=3)[0]
+        built = count_risk_indexes(monkeypatch)
+        cross_validate_K(ds, [4, 5], folds=4, config=MmsaConfig(seed=4), optimizer="newton")
+        assert len(built) == 1 + 4 * 2
+        assert built[0] == ds.n
 
     def test_empty_candidates_raise(self):
         ds = make_instance(35, n=60, P=2, K=3)[0]

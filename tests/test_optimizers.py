@@ -14,7 +14,7 @@ from tvcox import (
 )
 from tvcox import optimizers
 from tvcox.inference import fit_by_name
-from tvcox.likelihood import LikelihoodReport, evaluate_report
+from tvcox.likelihood import LikelihoodReport, evaluate_report, score_residuals
 from tvcox.optimizers import mmsa_block_quantities, verify_ascent_condition
 
 from conftest import make_instance
@@ -486,3 +486,29 @@ class TestStochasticCheckWindow:
         assert len({ll for _, _, ll in fit.trace}) <= n_checks
         if fit.converged:
             np.testing.assert_array_equal(fit.theta, checks[n_checks][0])
+
+
+class TestFittingData:
+    """A fit hands back the (dataset, index, basis) it ran on."""
+
+    @pytest.mark.parametrize("do_standardize", [True, False])
+    def test_matches_the_data_built_by_hand(self, do_standardize):
+        ds, spec = make_instance(7, n=90, P=2, K=3)[:2]
+        fit = optimizers.newton_fit(ds, spec, MmsaConfig(tol=1e-8),
+                                    do_standardize=do_standardize)
+        work = tv.standardize(ds)[0] if do_standardize else ds
+        by_hand = (work, tv.build_risk_index(work), tv.evaluate_batch(spec, work.time))
+
+        kept = score_residuals(*fit.fitting_data, fit.theta)
+        rebuilt = score_residuals(*by_hand, fit.theta)
+        assert np.array_equal(kept.psi, rebuilt.psi)
+        assert np.array_equal(kept.V, rebuilt.V)
+        assert evaluate_report(*fit.fitting_data, fit.theta,
+                               want_gradient=False).loglik == fit.loglik
+
+    def test_result_built_by_hand_has_none(self):
+        ds, spec = make_instance(7, n=90, P=2, K=3)[:2]
+        fit = optimizers.mmsa_fit(ds, spec, MmsaConfig(max_iterations=3))
+        bare = dataclasses.replace(fit, fitting_data=None)
+        assert bare == fit
+        assert "fitting_data" not in repr(fit)
