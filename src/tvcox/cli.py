@@ -182,6 +182,14 @@ def _scenario_P(cfg: dict) -> None:
         cfg["P"] = 2
 
 
+def _scenario(cfg: dict, seed: int) -> simulate.ScenarioSpec:
+    try:
+        return simulate.ScenarioSpec(setting=cfg["setting"], n=cfg["n"], P=cfg["P"],
+                                     J=cfg["J"], gamma=cfg["gamma"], seed=seed)
+    except TvcoxError as e:
+        raise UsageError(str(e)) from None
+
+
 def _mmsa_config(cfg: dict) -> MmsaConfig:
     try:
         return MmsaConfig(learning_rate=cfg["nu"], subsample_fraction=cfg["eta"],
@@ -240,12 +248,7 @@ def cmd_simulate(args) -> int:
     """generate a scenario dataset CSV"""
     cfg = _resolve(args)
     _scenario_P(cfg)
-    try:
-        spec = simulate.ScenarioSpec(setting=cfg["setting"], n=cfg["n"], P=cfg["P"],
-                                     J=cfg["J"], gamma=cfg["gamma"], seed=cfg["seed"])
-    except TvcoxError as e:
-        raise UsageError(str(e)) from None
-    dataset = simulate.generate(spec)
+    dataset = simulate.generate(_scenario(cfg, cfg["seed"]))
     _atomic_write(cfg["out"], lambda tmp: write_csv(tmp, dataset, header_comments=_comments(cfg)))
     print(f"tvcox {__version__}: wrote {dataset.n} subjects "
           f"({int(dataset.status.sum())} events) to {cfg['out']}")
@@ -266,8 +269,7 @@ def cmd_bench(args) -> int:
     ok = {name: 0 for name in names}
     for r in range(cfg["replicates"]):
         rep_seed = int(np.random.SeedSequence([cfg["seed"], r]).generate_state(1, np.uint64)[0])
-        scen = simulate.ScenarioSpec(setting=cfg["setting"], n=cfg["n"], P=cfg["P"],
-                                     J=cfg["J"], gamma=cfg["gamma"], seed=rep_seed)
+        scen = _scenario(cfg, rep_seed)
         data = simulate.generate(scen)
         spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=data.event_times)
         for name in names:

@@ -117,32 +117,56 @@ def chi_square_upper_tail(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray, label: str, escalate: bool):
-    """Cholesky solve with optional geometric ridge escalation from 1e-10."""
+def _factor_spd(A: np.ndarray, label: str, escalate: bool):
+    """Cholesky factor with optional geometric ridge escalation from 1e-10."""
     eps = 0.0
     scale = float(np.abs(A).max()) or 1.0
     while True:
         try:
-            cf = cho_factor(A + eps * scale * np.eye(A.shape[0]),
-                            lower=True, check_finite=False)
-            return cho_solve(cf, rhs, check_finite=False)
+            return cho_factor(A + eps * scale * np.eye(A.shape[0]),
+                              lower=True, check_finite=False)
         except LinAlgError:
             if not escalate or eps >= RIDGE_CEIL:
                 raise RankDeficiencyError(f"{label} is singular") from None
             eps = RIDGE_START if eps == 0.0 else eps * 10
 
 
-def _wald(theta: np.ndarray, info: np.ndarray, p: int, kind: str) -> WaldTest:
-    theta = np.asarray(theta, dtype=float)
+def _solve_spd(A: np.ndarray, rhs: np.ndarray, label: str, escalate: bool):
+    return cho_solve(_factor_spd(A, label, escalate), rhs, check_finite=False)
+
+
+def _empirical_factor(score_residuals):
+    """Ridged Cholesky factor of the empirical information V.
+
+    A ``ScoreResiduals`` bundle keeps the factor of its V, so one fit's P
+    Wald tests and its covariance share a single factorization.
+    """
+    if not isinstance(score_residuals, lk.ScoreResiduals):
+        V = score_residuals.V if hasattr(score_residuals, "V") else np.asarray(score_residuals)
+        return _factor_spd(V, "empirical information", escalate=True)
+    if score_residuals._V_factor is None:
+        score_residuals._V_factor = _factor_spd(score_residuals.V, "empirical information",
+                                                escalate=True)
+    return score_residuals._V_factor
+
+
+def _coefficient_blocks(theta_hat) -> np.ndarray:
+    """theta_hat as a checked P x K float matrix with K >= 2."""
+    theta = np.asarray(theta_hat, dtype=float)
     if theta.ndim != 2:
         raise ValueError("theta_hat must be a P x K matrix")
-    P, K = theta.shape
-    if K < 2:
+    if theta.shape[1] < 2:
         raise ValueError("constancy test needs K >= 2")
+    return theta
+
+
+def _wald(theta: np.ndarray, info_factor, p: int, kind: str) -> WaldTest:
+    """Test of block p, given the Cholesky factor of the information."""
+    P, K = theta.shape
     C = contrast_matrix(p, P, K)
     d = C @ theta.ravel()
     # K-1 right-hand sides; the full information is never inverted outright
-    W = _solve_spd(info, C.T, f"{kind} information", escalate=True)
+    W = cho_solve(info_factor, C.T, check_finite=False)
     inner = C @ W
     inner = 0.5 * (inner + inner.T)
     y = _solve_spd(inner, d, f"contrast covariance for covariate {p}", escalate=False)
@@ -158,25 +182,27 @@ def wald_test_empirical(theta_hat, score_residuals, p: int) -> WaldTest:
     object exposing ``V``).  The statistic is invariant to covariate
     standardization, so theta and V may live on the fitting scale.
     """
-    V = score_residuals.V if hasattr(score_residuals, "V") else np.asarray(score_residuals)
-    return _wald(np.asarray(theta_hat), V, p, "empirical")
+    theta = _coefficient_blocks(theta_hat)
+    return _wald(theta, _empirical_factor(score_residuals), p, "empirical")
 
 
 def wald_test_observed(theta_hat, full_hessian, p: int) -> WaldTest:
     """Constancy test for covariate p using the observed information -hess."""
-    return _wald(np.asarray(theta_hat), -np.asarray(full_hessian), p, "observed")
+    theta = _coefficient_blocks(theta_hat)
+    info = _factor_spd(-np.asarray(full_hessian), "observed information", escalate=True)
+    return _wald(theta, info, p, "observed")
 
 
 def test_all_covariates(theta_hat, score_residuals) -> list:
-    theta_hat = np.asarray(theta_hat)
-    return [wald_test_empirical(theta_hat, score_residuals, p)
-            for p in range(theta_hat.shape[0])]
+    theta = _coefficient_blocks(theta_hat)
+    info = _empirical_factor(score_residuals)
+    return [_wald(theta, info, p, "empirical") for p in range(theta.shape[0])]
 
 
 def covariance_from_residuals(score_residuals) -> np.ndarray:
     """Inverse of the empirical information, ridged if needed (desk scale)."""
-    V = score_residuals.V if hasattr(score_residuals, "V") else np.asarray(score_residuals)
-    return _solve_spd(V, np.eye(V.shape[0]), "empirical information", escalate=True)
+    info = _empirical_factor(score_residuals)
+    return cho_solve(info, np.eye(info[0].shape[0]), check_finite=False)
 
 
 def covariance_from_hessian(full_hessian) -> np.ndarray:

@@ -19,15 +19,35 @@ chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
 ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
 its risk sets; those entries are set to ``-inf`` before exponentiation.
 Each chunk holds at most ``_CHUNK_ENTRIES`` linear predictors, so memory is
-linear in the stratum size and no n_j x m array is ever formed.  A per-column
-max shift keeps the exponentials stable.  Flat coefficient vectors follow
-the row-major convention theta = vec(Theta): block p occupies
-theta[p*K:(p+1)*K].
+linear in the stratum size and no n_j x m array is ever formed; past
+``_FLOOR_ROWS`` subjects a chunk keeps the width it has at that size, so
+large strata are not walked in thin slices.  A per-column max shift keeps
+the exponentials stable.  Flat coefficient vectors follow the row-major
+convention theta = vec(Theta): block p occupies theta[p*K:(p+1)*K].
+
+The full Hessian is
+
+    H = -sum_g d_g [ sum_i w_gi x_i x_i' - zbar_g zbar_g' ] (x) B_g B_g',
+
+with risk weights w_gi and risk-set means zbar_g at event time g, and is
+built in one of two forms.  The product form carries the P(P+1)/2 products
+x_ip x_iq through the pass as extra moment columns.  The separable form
+uses
+
+    sum_g d_g B_g B_g' (x) sum_i w_gi x_i x_i'  =  sum_i (x_i x_i') (x) C_i,
+    C_i = sum_g d_g w_gi B_g B_g',
+
+so the pass spreads the K(K+1)/2 entries of each d_g B_g B_g' over its
+risk set instead, and the second moments come from one row-chunked GEMM
+``(Xs (x) C)' Xs``; the mean term is a second GEMM over the event times.
+Each form's extra pass columns are its cost, so the separable form is used
+exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +71,7 @@ __all__ = [
 
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_ENTRIES = 1 << 18   # linear predictors per chunk: 2 MiB of float64
+_FLOOR_ROWS = 1 << 13      # larger strata keep the chunk width of this size: 32 event times
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -104,6 +125,8 @@ class ScoreResiduals:
     event_rows: np.ndarray  # original dataset rows, one per event
     total: np.ndarray       # column sum, equals the gradient
     V: np.ndarray           # PK x PK
+    # Cholesky factor of V, kept by the first inference call that needs it
+    _V_factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _group_basis(s, basis_values):
@@ -111,7 +134,12 @@ def _group_basis(s, basis_values):
     return basis_values[s.event_rows[s.event_starts[:-1]]]
 
 
-def _risk_set_pass(s, M, mats=()):
+def _chunk_width(n: int) -> int:
+    """Event times per chunk of the risk-set pass over a stratum of n subjects."""
+    return max(1, _CHUNK_ENTRIES // min(n, _FLOOR_ROWS))
+
+
+def _risk_set_pass(s, M, mats=(), spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
     ``M`` (m x P) holds the basis-mixed coefficients of the stratum's m
@@ -120,10 +148,12 @@ def _risk_set_pass(s, M, mats=()):
     where S_g sums the shifted exponentials over the risk set
     ``order[:L[g]]`` and shift_g is the largest linear predictor in it, and
     for each array A in ``mats`` the (m x A.shape[1]) risk-weighted means
-    ``E'A / S``.
+    ``E'A / S``.  ``spread``, if given, is a pair ``(W, C)`` of arrays with
+    one row per event time and one row per subject: each row of W is
+    spread over its risk set by the risk weights, ``C += E (W / S)``.
     """
     n, m = s.order.size, s.dt.size
-    width = max(1, _CHUNK_ENTRIES // n)
+    width = _chunk_width(n)
     # a leading column of ones makes S the first column of E @ A
     A = np.concatenate([np.ones((n, 1)), *mats], axis=1)
     lse = np.empty(m)
@@ -148,7 +178,54 @@ def _risk_set_pass(s, M, mats=()):
                     f"non-finite linear predictor for subject row {int(row)}")
             lse[a:b] = np.log(S) + shift
             means[a:b] = ES[:, 1:] / S[:, None]
+            if spread is not None:
+                W, C = spread
+                C[:rows] += E.T @ (W[a:b] / S[:, None])
     return lse, np.split(means, np.cumsum([X.shape[1] for X in mats])[:-1], axis=1)
+
+
+def _add_second_moments(out, Xs, C):
+    """Add ``sum_i (x_i (x) C_i) x_i'`` to ``out`` (P*T x P), a row chunk at a time.
+
+    A chunk's n_r x P*T products never hold more than ``_CHUNK_ENTRIES``
+    entries (one row at least).
+    """
+    n, P = Xs.shape
+    step = max(1, _CHUNK_ENTRIES // (P * C.shape[1]))
+    for r in range(0, n, step):
+        X = Xs[r:r + step]
+        XC = (X[:, :, None] * C[r:r + step, None, :]).reshape(X.shape[0], -1)
+        out += XC.T @ X
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
+    """Bytes of the largest arrays a full-Hessian pass holds at once.
+
+    Counted at the largest stratum: a chunk of linear predictors and its
+    band mask, Hf and one Hf-sized addition to it, and for each form its
+    own arrays (see the comments below).
+    """
+    n = max(s.order.size for s in index.strata)
+    m = max(s.dt.size for s in index.strata)
+    T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
+    if separable:
+        # the moment matrix [1, Xs] and C; ZB; one GEMM row chunk; the
+        # P*T x P second moments and one addition to them
+        entries = (n * (1 + P + T) + m * P * K
+                   + min(n, max(1, _CHUNK_ENTRIES // (P * T))) * P * T + 2 * P * P * T)
+    else:
+        # the products, then the moment matrix holding a copy of them; the
+        # products' risk-set means and their weighted form
+        entries = n * (1 + P + 2 * pairs) + 2 * m * pairs
+    return 8 * (entries + 2 * min(_chunk_width(n), m) * n + 2 * (P * K) ** 2)
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -170,60 +247,89 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     NumericOverflowError
         If a linear predictor is non-finite (diverged coefficients).
     CapacityError
-        If the full Hessian is requested and P*K exceeds ``guard``.
+        If the full Hessian is requested and P*K exceeds ``guard``, or its
+        pass would need more bytes than the machine's physical memory.
     """
     P = dataset.P
     K = basis.values.shape[1]
     Theta = as_matrix(theta, P, K)
     if not np.all(np.isfinite(Theta)):
         raise NumericOverflowError("non-finite coefficients")
-    if want_full and P * K > guard:
-        raise CapacityError(f"full Hessian size {P * K} exceeds guard {guard}")
+    separable = want_full and P > K  # fewer pass columns: K(K+1)/2 < P(P+1)/2
+    if want_full:
+        if P * K > guard:
+            raise CapacityError(f"full Hessian size {P * K} exceeds guard {guard}")
+        need, have = _full_pass_bytes(index, P, K, separable), _physical_memory()
+        if have is not None and need > have:
+            raise CapacityError(f"full Hessian pass needs about {need / 2**30:.1f} GiB, "
+                                f"more than the {have / 2**30:.1f} GiB of physical memory")
 
     ll = 0.0
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
     Hb = np.zeros((P, K, K)) if want_blocks else None
-    Hf = np.zeros((P, K, P, K)) if want_full else None
-    iu = np.triu_indices(P) if want_full else None
+    Hf = np.zeros((P * K, P * K)) if want_full else None
+    if separable:
+        ku = np.triu_indices(K)
+        second = np.zeros((P * ku[0].size, P))
+    elif want_full:
+        iu = np.triu_indices(P)
+        pair_blocks = np.zeros((iu[0].size, K, K))
 
     for s in index.strata:
         Bg = _group_basis(s, basis.values)
         M = Bg @ Theta.T
+        d = s.d
         mats = [s.Xs] if (G is not None or Hb is not None) else []
         if want_blocks:
             mats.append(s.Xs * s.Xs)
-        if want_full:
+        spread = None
+        if separable:
+            C = np.zeros((s.order.size, ku[0].size))
+            spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C)
+        elif want_full:
             mats.append(s.Xs[:, iu[0]] * s.Xs[:, iu[1]])
-        lse, means = _risk_set_pass(s, M, mats)
-        d = s.d
+        lse, means = _risk_set_pass(s, M, mats, spread)
         if want_loglik:
             ll += float((s.SX * M).sum() - (d * lse).sum())
         if not mats:
             continue
         Zbar = means[0]
-        A = s.SX - d[:, None] * Zbar
         if G is not None:
-            G += A.T @ Bg
-        if want_blocks or want_full:
+            G += (s.SX - d[:, None] * Zbar).T @ Bg
+        if want_blocks or (want_full and not separable):
             BB = Bg[:, :, None] * Bg[:, None, :]
         if want_blocks:
             W = (means[1] - Zbar * Zbar) * d[:, None]
             Hb -= np.tensordot(W.T, BB, axes=1)
-        if want_full:
+        if separable:
+            _add_second_moments(second, s.Xs, C)
+            # sqrt(d) on both factors weights the mean term by d, and numpy
+            # computes A.T @ A as a symmetric product
+            ZB = (Zbar[:, :, None] * (Bg * np.sqrt(d)[:, None])[:, None, :]).reshape(-1, P * K)
+            Hf += ZB.T @ ZB
+        elif want_full:
             Wf = (means[-1] - Zbar[:, iu[0]] * Zbar[:, iu[1]]) * d[:, None]
-            blocks = np.tensordot(Wf.T, BB, axes=1)
-            for c in range(iu[0].size):
-                p, q = iu[0][c], iu[1][c]
-                Hf[p, :, q, :] -= blocks[c]
-                if p != q:
-                    Hf[q, :, p, :] -= blocks[c]
+            pair_blocks += np.tensordot(Wf.T, BB, axes=1)
+
+    if separable:
+        tk = np.empty((K, K), dtype=np.intp)
+        tk[ku] = tk[ku[::-1]] = np.arange(ku[0].size)
+        p = np.arange(P)
+        # entry (p, k), (q, l) of the second moments is second[p*T + tk[k, l], q]
+        Hf -= second.reshape(P, -1, P)[p[:, None, None, None], tk[:, None, :], p[:, None]
+                                       ].reshape(P * K, P * K)
+        Hf += Hf.T
+        Hf *= 0.5
+    elif want_full:
+        H4 = Hf.reshape(P, K, P, K)
+        H4[iu[0], :, iu[1], :] = H4[iu[1], :, iu[0], :] = -pair_blocks
 
     return LikelihoodReport(
         theta=Theta.copy(),
         loglik=ll if want_loglik else None,
         gradient=G.reshape(-1) if G is not None else None,
         block_hessians=Hb,
-        full_hessian=Hf.reshape(P * K, P * K) if want_full else None,
+        full_hessian=Hf,
     )
 
 

@@ -329,6 +329,29 @@ class TestBenchCommand:
         assert not out.exists()
 
 
+    def test_invalid_scenario_is_a_usage_error_as_in_simulate(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        errors = []
+        for argv in (["bench", "--K", "4", "--optimizers", "newton", "--replicates", "1"],
+                     ["simulate"]):
+            rc, stdout, err = run(argv + ["--setting", "3", "--n", "0", "--seed", "1",
+                                          "--out", str(out)], capsys)
+            assert rc == 1 and stdout == ""
+            errors.append(err)
+        assert errors[0] == errors[1] == "ERROR USAGE: need n >= J >= 1\n"
+        assert not out.exists()
+
+    def test_full_hessian_beyond_memory_fails_with_capacity(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: 1 << 10)
+        out = tmp_path / "b.csv"
+        rc, stdout, _ = run(self.bench_args(out), capsys)
+        assert rc == 0  # MMSA needs no full Hessian
+        assert "complete optimizers: mmsa" in stdout
+        _, _, rows = read_rows(out)
+        assert [r[10] for r in rows if r[2] == "newton"] == ["error:CAPACITY"] * 2
+
+
 class TestCvCommand:
     def test_smoke_and_determinism(self, tmp_path, capsys):
         data = simulate_csv(tmp_path, capsys, n=200, seed=7)

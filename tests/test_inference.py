@@ -240,6 +240,33 @@ class TestCovariance:
             covariance_from_hessian(np.eye(4))
 
 
+    def test_tests_and_covariance_share_one_factorization(self, monkeypatch):
+        import tvcox.inference as inference_module
+
+        ds, spec, fit, resid, _ = fitted_instance(435, n=300)
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(2, 8))
+        ridged = tv.likelihood.ScoreResiduals(psi=a, event_rows=np.arange(2),
+                                              total=a.sum(axis=0), V=a.T @ a)
+        theta_ridged = rng.normal(size=(2, 4))
+        # one bundle each: the V of a fit, and a rank-2 V that needs a ridge
+        for theta, bundle in ((fit.theta, resid), (theta_ridged, ridged)):
+            # the array route factors V anew on every call: the reference
+            want_tests = all_covariate_tests(theta, bundle.V)
+            want_cov = covariance_from_residuals(bundle.V)
+            factored = []
+            real = inference_module._factor_spd
+            monkeypatch.setattr(inference_module, "_factor_spd", lambda *args, **kw:
+                                factored.append(args[1]) or real(*args, **kw))
+            tests = all_covariate_tests(theta, bundle)
+            cov = covariance_from_residuals(bundle)
+            single = [wald_test_empirical(theta, bundle, p) for p in range(theta.shape[0])]
+            monkeypatch.undo()
+            assert factored.count("empirical information") == 1  # the rest are K-1 x K-1
+            assert tests == single == want_tests
+            np.testing.assert_array_equal(cov, want_cov)
+
+
 class TestCurveBands:
     def grid(self):
         return np.linspace(0.1, 2.5, 25)

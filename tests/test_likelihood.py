@@ -337,3 +337,135 @@ def test_pass_memory_is_linear_in_stratum_size():
     dense = s.order.size * s.dt.size
     for name in s.__slots__:
         assert np.asarray(getattr(s, name)).size < dense, name
+
+
+# With P > K the full Hessian takes the separable form: the pass spreads
+# d_g B_g B_g' over each risk set and a row-chunked GEMM gives the second
+# moments.  Every instance above has P <= K and takes the product form.
+SEPARABLE = [(4, 3), (5, 2)]
+
+
+def _separable_instance(seed, P, K, n=60, J=2):
+    return make_instance(seed, n=n, P=P, K=K, J=J, degree=min(2, K - 1))
+
+
+def _row_chunks(n, P, K, chunk):
+    return -(-n // max(1, chunk // (P * K * (K + 1) // 2)))
+
+
+def _count_separable_strata(monkeypatch):
+    calls = []
+    real = likelihood_module._add_second_moments
+
+    def counted(out, Xs, C):
+        calls.append(Xs.shape[0])
+        real(out, Xs, C)
+    monkeypatch.setattr(likelihood_module, "_add_second_moments", counted)
+    return calls
+
+
+def _assert_full_hessian_matches_fd(ds, index, basis, theta):
+    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
+    H = fd_hessian(lambda v: evaluate_report(ds, index, basis, v).gradient, theta)
+    np.testing.assert_allclose(rep.full_hessian, H, rtol=1e-6, atol=1e-6)
+    K = basis.values.shape[1]
+    for p in range(ds.P):
+        np.testing.assert_allclose(rep.block_hessians[p],
+                                   rep.full_hessian[p * K:(p + 1) * K, p * K:(p + 1) * K],
+                                   rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(rep.full_hessian, rep.full_hessian.T)
+    return rep
+
+
+@pytest.mark.parametrize("P,K", SEPARABLE)
+def test_separable_hessian_matches_finite_differences(P, K, monkeypatch):
+    ds, spec, basis, index = _separable_instance(161, P, K)
+    assert len(index.strata) == 2
+    calls = _count_separable_strata(monkeypatch)
+    theta = np.random.default_rng(15).normal(0, 0.3, (P, K))
+    _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert len(calls) == 2  # one GEMM pass per stratum: the separable form ran
+
+
+@pytest.mark.parametrize("P,K", SEPARABLE)
+@pytest.mark.parametrize("chunk", MULTI_CHUNK)
+def test_separable_hessian_in_many_chunks(P, K, chunk, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    ds, spec, basis, index = _separable_instance(171, P, K)
+    for s in index.strata:
+        assert -(-s.dt.size // likelihood_module._chunk_width(s.order.size)) >= 3
+        assert _row_chunks(s.order.size, P, K, chunk) >= 3
+    calls = _count_separable_strata(monkeypatch)
+    theta = np.random.default_rng(16).normal(0, 0.3, (P, K))
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert len(calls) == len(index.strata)
+    monkeypatch.undo()
+    whole = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+    np.testing.assert_allclose(rep.full_hessian, whole, rtol=1e-12,
+                               atol=1e-12 * np.abs(whole).max())
+
+
+def test_separable_and_product_forms_agree(monkeypatch):
+    # the same Hessian from both forms: the product form at P <= K, and the
+    # separable form on the same data padded with covariates fixed at zero
+    ds, spec, basis, index = make_instance(181, n=70, P=2, K=3)
+    theta = np.random.default_rng(17).normal(0, 0.3, (2, 3))
+    product = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+    wide = tv.SurvivalDataset(ds.time, ds.status, ds.stratum, ds.stratum_labels,
+                              np.hstack([ds.covariates, np.zeros((ds.n, 2))]),
+                              ds.covariate_names + ("z0", "z1"))
+    calls = _count_separable_strata(monkeypatch)
+    separable = evaluate_report(wide, tv.build_risk_index(wide), basis,
+                                np.vstack([theta, np.zeros((2, 3))]),
+                                want_full=True).full_hessian
+    assert calls
+    np.testing.assert_allclose(separable[:6, :6], product, rtol=1e-12,
+                               atol=1e-12 * np.abs(product).max())
+    assert not separable[6:].any() and not separable[:, 6:].any()
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
+def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
+    # the floor keeps a chunk no narrower than at _FLOOR_ROWS subjects;
+    # shrunk here so that it binds on a small stratum
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", 40)
+    monkeypatch.setattr(likelihood_module, "_FLOOR_ROWS", 8)
+    ds, spec, basis, index = make_instance(191, n=40, P=P, K=K, J=1)
+    (s,) = index.strata
+    width = likelihood_module._chunk_width(s.order.size)
+    assert width == 5 > max(1, 40 // s.order.size)
+    assert -(-s.dt.size // width) >= 3
+    theta = np.random.default_rng(18).normal(0, 0.3, (P, K))
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta),
+                                       rel=1e-12, abs=1e-12)
+    want = fd_gradient(lambda v: brute_loglik(ds, basis.values, v), theta)
+    np.testing.assert_allclose(rep.gradient, want, rtol=2e-7, atol=2e-7)
+    res = tv.score_residuals(ds, index, basis, theta)
+    order, psi = brute_score_residuals(ds, basis.values, theta)
+    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
+    for i, r in enumerate(order):
+        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
+
+
+def test_default_chunk_width_is_floored_past_8192_subjects():
+    width = likelihood_module._chunk_width
+    assert [width(n) for n in (1000, 8000, 8192)] == [262, 32, 32]
+    assert width(30000) == width(10 ** 6) == 32
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
+def test_full_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatch):
+    ds, spec, basis, index = make_instance(201, n=40, P=P, K=K)
+    theta = np.zeros((P, K))
+    need = likelihood_module._full_pass_bytes(index, P, K, P > K)
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="physical memory"):
+        evaluate_report(ds, index, basis, theta, want_full=True)
+    with pytest.raises(CapacityError):
+        tv.full_hessian(ds, index, basis, theta)
+    # passes without the full Hessian are not limited by it
+    evaluate_report(ds, index, basis, theta, want_blocks=True)
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need)
+    evaluate_report(ds, index, basis, theta, want_full=True)
+
