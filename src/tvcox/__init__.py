@@ -53,7 +53,6 @@ from .inference import (
 from .likelihood import (
     LikelihoodReport,
     ScoreResiduals,
-    block_hessian,
     block_hessians,
     evaluate_report,
     full_hessian,

@@ -94,7 +94,6 @@ class SurvivalDataset:
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         empty = [self.stratum_labels[j] for j in range(len(self.stratum_labels))
                  if status[stratum == j].sum() == 0]
-        object.__setattr__(self, "strata_without_events", tuple(empty))
         if empty:
             warnings.warn(
                 f"strata with zero events contribute nothing: {', '.join(map(str, empty))}",
@@ -229,14 +228,16 @@ def load_csv(path) -> SurvivalDataset:
 
     Any column beyond the mandatory three is a covariate, in header order.
     Blank or non-numeric cells raise ParseError citing the 1-based data row
-    and the column name; status outside {0, 1} raises DomainError.
+    and the column name; status outside {0, 1} raises DomainError.  Blank
+    lines are skipped, but still counted in the numbers of the rows after
+    them.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         # leading '#' lines carry provenance comments from the CLI writers
         header = None
         for rec in reader:
-            if rec and rec[0].lstrip().startswith("#"):
+            if not rec or rec[0].lstrip().startswith("#"):
                 continue
             header = rec
             break
@@ -250,9 +251,11 @@ def load_csv(path) -> SurvivalDataset:
         cov_cols = [(i, name) for i, name in enumerate(header) if name not in _MANDATORY]
         times, status, labels, rows = [], [], [], []
         for r, rec in enumerate(reader, start=1):
+            if not rec:
+                continue  # a blank line, e.g. after the last row
             if len(rec) != len(header):
                 raise ParseError(f"row {r} has {len(rec)} cells, expected {len(header)}")
-            def cell(i, name, kind="numeric"):
+            def cell(i, name):
                 v = rec[i].strip()
                 try:
                     x = float(v)
@@ -286,7 +289,7 @@ def write_csv(path, dataset: SurvivalDataset, header_comments=()) -> None:
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["time", "status", "stratum", *dataset.covariate_names])
         for i in range(dataset.n):
             w.writerow([f"{dataset.time[i]:.17g}", int(dataset.status[i]),

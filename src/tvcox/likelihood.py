@@ -13,6 +13,15 @@ with the event time, denominators cannot be shared across times; they are
 shared across events tied at the same time, and each distinct time's risk
 set is a contiguous prefix of the stratum's descending-time ordering.
 
+Every evaluation returns the log likelihood, and every kind of pass
+computes it the same way: the risk-set sums S are their own product
+``E 1`` of the risk weights with a vector of ones, and the weighted
+moments a separate product ``E A`` over the requested arrays only.  A
+loglik-only pass and a full-Hessian pass at the same theta therefore
+report the same value, bit for bit, which the ascent guard, the Armijo
+test and the stopping rules rely on when they compare values from
+different passes.
+
 Each stratum is evaluated in one pass over its distinct event times, in
 fixed-width chunks of columns.  Because the prefix lengths ``L`` ascend, a
 chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
@@ -29,10 +38,14 @@ The full Hessian is
 
     H = -sum_g d_g [ sum_i w_gi x_i x_i' - zbar_g zbar_g' ] (x) B_g B_g',
 
-with risk weights w_gi and risk-set means zbar_g at event time g, and is
-built in one of two forms.  The product form carries the P(P+1)/2 products
-x_ip x_iq through the pass as extra moment columns.  The separable form
-uses
+with risk weights w_gi and risk-set means zbar_g at event time g.  Its
+diagonal blocks (p = q) and the product form of the whole Hessian come
+from one pair path: the pass carries the products x_ip x_iq of a set of
+covariate pairs as extra moment columns, the P(P+1)/2 pairs p <= q for
+the product form or the P diagonal pairs when only the blocks are wanted,
+and each pair (p, q) gets its K x K block.  The full Hessian takes one of
+two forms: the product form, from the pairs p <= q, or the separable form,
+which uses
 
     sum_g d_g B_g B_g' (x) sum_i w_gi x_i x_i'  =  sum_i (x_i x_i') (x) C_i,
     C_i = sum_g d_g w_gi B_g B_g',
@@ -63,7 +76,6 @@ __all__ = [
     "evaluate_report",
     "loglik",
     "gradient",
-    "block_hessian",
     "block_hessians",
     "full_hessian",
     "score_residuals",
@@ -91,10 +103,14 @@ def as_vector(theta, P: int, K: int) -> np.ndarray:
 
 @dataclass
 class LikelihoodReport:
-    """One evaluation of the likelihood and requested derivatives."""
+    """One evaluation of the likelihood and requested derivatives.
+
+    ``loglik`` is always set, and is the same value whichever derivatives
+    the pass computed; a derivative that was not requested is None.
+    """
 
     theta: np.ndarray            # P x K
-    loglik: float | None
+    loglik: float
     gradient: np.ndarray | None  # flat, PK
     block_hessians: np.ndarray | None  # P x K x K
     full_hessian: np.ndarray | None    # PK x PK
@@ -148,16 +164,20 @@ def _risk_set_pass(s, M, mats=(), spread=None):
     where S_g sums the shifted exponentials over the risk set
     ``order[:L[g]]`` and shift_g is the largest linear predictor in it, and
     for each array A in ``mats`` the (m x A.shape[1]) risk-weighted means
-    ``E'A / S``.  ``spread``, if given, is a pair ``(W, C)`` of arrays with
-    one row per event time and one row per subject: each row of W is
-    spread over its risk set by the risk weights, ``C += E (W / S)``.
+    ``E'A / S``.  S is always its own product ``E @ ones``, whatever
+    ``mats`` holds, so the log denominators do not depend on the moments
+    requested; the moments come from one ``E @ A`` over ``mats`` side by
+    side (no copy when there is one array, no product when there is none).
+    ``spread``, if given, is a pair ``(W, C)`` of arrays with one row per
+    event time and one row per subject: each row of W is spread over its
+    risk set by the risk weights, ``C += E (W / S)``.
     """
     n, m = s.order.size, s.dt.size
     width = _chunk_width(n)
-    # a leading column of ones makes S the first column of E @ A
-    A = np.concatenate([np.ones((n, 1)), *mats], axis=1)
+    ones = np.ones(n)
+    A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
     lse = np.empty(m)
-    means = np.empty((m, A.shape[1] - 1))
+    means = np.empty((m, 0 if A is None else A.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, m, width):
             b = min(a + width, m)
@@ -168,8 +188,7 @@ def _risk_set_pass(s, M, mats=(), spread=None):
             shift = eta.max(axis=1)
             eta -= shift[:, None]
             E = np.exp(eta, out=eta)  # masked entries exp(-inf) = 0
-            ES = E @ A[:rows]
-            S = ES[:, 0]
+            S = E @ ones[:rows]
             if not (np.all(np.isfinite(S)) and np.all(np.isfinite(shift))):
                 raw = M[a:b] @ s.Xs[:rows].T
                 bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=0))
@@ -177,7 +196,8 @@ def _risk_set_pass(s, M, mats=(), spread=None):
                 raise NumericOverflowError(
                     f"non-finite linear predictor for subject row {int(row)}")
             lse[a:b] = np.log(S) + shift
-            means[a:b] = ES[:, 1:] / S[:, None]
+            if A is not None:
+                means[a:b] = (E @ A[:rows]) / S[:, None]
             if spread is not None:
                 W, C = spread
                 C[:rows] += E.T @ (W[a:b] / S[:, None])
@@ -209,30 +229,33 @@ def _physical_memory() -> int | None:
 def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
-    Counted at the largest stratum: a chunk of linear predictors and its
-    band mask, Hf and one Hf-sized addition to it, and for each form its
-    own arrays (see the comments below).
+    Counted at the largest stratum: the vector of ones, a chunk of linear
+    predictors and its band mask, Hf and one Hf-sized addition to it, and
+    for each form its own arrays (see the comments below).
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
     T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
     if separable:
-        # the moment matrix [1, Xs] and C; ZB; one GEMM row chunk; the
-        # P*T x P second moments and one addition to them
-        entries = (n * (1 + P + T) + m * P * K
+        # C and one C-sized addition to it (the moments are Xs itself, read
+        # in place); ZB; one GEMM row chunk; the P*T x P second moments and
+        # one addition to them
+        entries = (2 * n * T + m * P * K
                    + min(n, max(1, _CHUNK_ENTRIES // (P * T))) * P * T + 2 * P * P * T)
     else:
-        # the products, then the moment matrix holding a copy of them; the
-        # products' risk-set means and their weighted form
-        entries = n * (1 + P + 2 * pairs) + 2 * m * pairs
-    return 8 * (entries + 2 * min(_chunk_width(n), m) * n + 2 * (P * K) ** 2)
+        # the pair products, then the moment matrix [Xs, products] holding a
+        # copy of them; its risk-set means and the pairs' weighted form
+        entries = n * (P + 2 * pairs) + m * (P + 2 * pairs)
+    return 8 * (entries + n + 2 * min(_chunk_width(n), m) * n + 2 * (P * K) ** 2)
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
-                    theta, *, want_loglik: bool = True, want_gradient: bool = True,
-                    want_blocks: bool = False, want_full: bool = False,
-                    guard: int = FULL_HESSIAN_GUARD) -> LikelihoodReport:
+                    theta, *, want_gradient: bool = True, want_blocks: bool = False,
+                    want_full: bool = False, guard: int = FULL_HESSIAN_GUARD) -> LikelihoodReport:
     """Evaluate the likelihood and any of its derivatives in one pass.
+
+    The log likelihood is always evaluated, and is identical whichever
+    derivatives are requested.
 
     Parameters
     ----------
@@ -264,52 +287,45 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             raise CapacityError(f"full Hessian pass needs about {need / 2**30:.1f} GiB, "
                                 f"more than the {have / 2**30:.1f} GiB of physical memory")
 
+    # covariate pairs (p, q) whose K x K blocks the pass builds
+    pairs = (np.triu_indices(P) if want_full and not separable
+             else (np.arange(P),) * 2 if want_blocks else None)
     ll = 0.0
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
-    Hb = np.zeros((P, K, K)) if want_blocks else None
     Hf = np.zeros((P * K, P * K)) if want_full else None
+    if pairs is not None:
+        pair_blocks = np.zeros((pairs[0].size, K, K))
     if separable:
         ku = np.triu_indices(K)
         second = np.zeros((P * ku[0].size, P))
-    elif want_full:
-        iu = np.triu_indices(P)
-        pair_blocks = np.zeros((iu[0].size, K, K))
 
     for s in index.strata:
         Bg = _group_basis(s, basis.values)
         M = Bg @ Theta.T
         d = s.d
-        mats = [s.Xs] if (G is not None or Hb is not None) else []
-        if want_blocks:
-            mats.append(s.Xs * s.Xs)
+        mats = [s.Xs] if (G is not None or pairs is not None) else []
+        if pairs is not None:
+            mats.append(s.Xs[:, pairs[0]] * s.Xs[:, pairs[1]])
         spread = None
         if separable:
             C = np.zeros((s.order.size, ku[0].size))
             spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C)
-        elif want_full:
-            mats.append(s.Xs[:, iu[0]] * s.Xs[:, iu[1]])
         lse, means = _risk_set_pass(s, M, mats, spread)
-        if want_loglik:
-            ll += float((s.SX * M).sum() - (d * lse).sum())
+        ll += float((s.SX * M).sum() - (d * lse).sum())
         if not mats:
             continue
         Zbar = means[0]
         if G is not None:
             G += (s.SX - d[:, None] * Zbar).T @ Bg
-        if want_blocks or (want_full and not separable):
-            BB = Bg[:, :, None] * Bg[:, None, :]
-        if want_blocks:
-            W = (means[1] - Zbar * Zbar) * d[:, None]
-            Hb -= np.tensordot(W.T, BB, axes=1)
+        if pairs is not None:
+            W = (means[1] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
+            pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
         if separable:
             _add_second_moments(second, s.Xs, C)
             # sqrt(d) on both factors weights the mean term by d, and numpy
             # computes A.T @ A as a symmetric product
             ZB = (Zbar[:, :, None] * (Bg * np.sqrt(d)[:, None])[:, None, :]).reshape(-1, P * K)
             Hf += ZB.T @ ZB
-        elif want_full:
-            Wf = (means[-1] - Zbar[:, iu[0]] * Zbar[:, iu[1]]) * d[:, None]
-            pair_blocks += np.tensordot(Wf.T, BB, axes=1)
 
     if separable:
         tk = np.empty((K, K), dtype=np.intp)
@@ -322,13 +338,13 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         Hf *= 0.5
     elif want_full:
         H4 = Hf.reshape(P, K, P, K)
-        H4[iu[0], :, iu[1], :] = H4[iu[1], :, iu[0], :] = -pair_blocks
+        H4[pairs[0], :, pairs[1], :] = H4[pairs[1], :, pairs[0], :] = -pair_blocks
 
     return LikelihoodReport(
         theta=Theta.copy(),
-        loglik=ll if want_loglik else None,
+        loglik=ll,
         gradient=G.reshape(-1) if G is not None else None,
-        block_hessians=Hb,
+        block_hessians=-pair_blocks[pairs[0] == pairs[1]] if want_blocks else None,
         full_hessian=Hf,
     )
 
@@ -341,25 +357,19 @@ def loglik(dataset, index, basis, theta) -> float:
 
 def gradient(dataset, index, basis, theta) -> np.ndarray:
     """Flat gradient; equals the column sum of the score residuals."""
-    return evaluate_report(dataset, index, basis, theta,
-                           want_loglik=False).gradient
+    return evaluate_report(dataset, index, basis, theta).gradient
 
 
 def block_hessians(dataset, index, basis, theta) -> np.ndarray:
     """All P diagonal blocks of the Hessian, shape (P, K, K)."""
-    return evaluate_report(dataset, index, basis, theta, want_loglik=False,
-                           want_gradient=False, want_blocks=True).block_hessians
-
-
-def block_hessian(dataset, index, basis, theta, p: int) -> np.ndarray:
-    """Hessian block of covariate p (negative semi-definite)."""
-    return block_hessians(dataset, index, basis, theta)[p]
+    return evaluate_report(dataset, index, basis, theta, want_gradient=False,
+                           want_blocks=True).block_hessians
 
 
 def full_hessian(dataset, index, basis, theta, guard: int = FULL_HESSIAN_GUARD) -> np.ndarray:
     """Dense PK x PK Hessian; guarded against accidental huge builds."""
-    return evaluate_report(dataset, index, basis, theta, want_loglik=False,
-                           want_gradient=False, want_full=True, guard=guard).full_hessian
+    return evaluate_report(dataset, index, basis, theta, want_gradient=False,
+                           want_full=True, guard=guard).full_hessian
 
 
 def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,

@@ -37,7 +37,7 @@ reused when a step already made that pass there.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -120,14 +120,7 @@ class MmsaConfig:
             raise ValueError("max_iterations must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "subsample_fraction": self.subsample_fraction,
-            "max_iterations": self.max_iterations,
-            "tol": self.tol,
-            "ridge": self.ridge,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -356,7 +349,7 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
             nonlocal since
             if drawn is None:
                 return None  # eventless draw: no usable score this iteration
-            rep = lk.evaluate_report(*drawn, theta, want_loglik=False, want_blocks=True)
+            rep = lk.evaluate_report(*drawn, theta, want_blocks=True)
             p_star, c_star, direction = _best_block(rep, config.ridge)
             if c_star < config.tol:
                 return None  # no ascent direction on this draw
@@ -481,7 +474,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
             ll_cur = ll
             for p in range(P):
                 for k in range(K):
-                    rep_pk = problem.report(theta, want_loglik=False, want_blocks=True)
+                    rep_pk = problem.report(theta, want_blocks=True)
                     g_pk = rep_pk.gradient[p * K + k]
                     if g_pk == 0.0:
                         continue
@@ -529,9 +522,9 @@ def _adagrad_step(problem: _Problem, config: MmsaConfig):
                 drawn = _subsample(problem.data, config, m)
                 if drawn is None:
                     return None
-                g = lk.evaluate_report(*drawn, theta, want_loglik=False).gradient
+                g = lk.evaluate_report(*drawn, theta).gradient
             else:
-                g = problem.report(theta, want_loglik=False).gradient
+                g = problem.report(theta).gradient
             acc = acc + g * g
             theta += (config.learning_rate * g / (np.sqrt(acc) + 1e-8)).reshape(theta.shape)
             if m % 50 != 0:
@@ -576,9 +569,8 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
         raise ValueError("report must carry the gradient and block Hessians")
     theta_next = lk.as_matrix(theta_next, P, K)
     mid = 0.5 * (report_at_theta.theta + theta_next)
-    neg_hess_mid = -lk.evaluate_report(dataset, index, basis, mid, want_loglik=False,
-                                       want_gradient=False, want_full=True,
-                                       guard=guard).full_hessian
+    neg_hess_mid = -lk.evaluate_report(dataset, index, basis, mid, want_gradient=False,
+                                       want_full=True, guard=guard).full_hessian
     # H^{-1/2} assembled block by block from eigendecompositions
     inv_sqrt = np.zeros((P * K, P * K))
     for p in range(P):

@@ -211,6 +211,14 @@ class TestSimulateCommand:
         assert len(comments) == 2
         assert len(lines) - len(comments) == 1001  # header + one row per subject
 
+    def test_lines_end_in_newline_only_and_round_trip(self, tmp_path, capsys):
+        path = simulate_csv(tmp_path, capsys, n=40)
+        text = open(path, "rb").read()
+        assert b"\r" not in text
+        assert text.count(b"\n") == 2 + 1 + 40  # comments, header, one row per subject
+        ds = tvcox.load_csv(path)
+        assert ds.n == 40 and ds.covariate_names == ("x1", "x2")
+
     def test_setting3_rejects_extra_covariates(self, tmp_path, capsys):
         rc, _, err = run(["simulate", "--setting", "3", "--n", "50", "--P", "5",
                           "--seed", "1", "--out", str(tmp_path / "x.csv")], capsys)

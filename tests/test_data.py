@@ -64,6 +64,16 @@ def test_load_csv_cell_errors_cite_row_and_column(tmp_path):
         load_csv(small_csv(tmp_path, "time,status,stratum\n1,2,a\n"))
 
 
+def test_load_csv_skips_blank_lines(tmp_path):
+    text = "time,status,stratum,x1\n1.0,1,a,0.5\n2.0,0,a,0.1\n\n"
+    ds = load_csv(small_csv(tmp_path, text))
+    assert ds.n == 2
+    np.testing.assert_allclose(ds.covariates[:, 0], [0.5, 0.1])
+    # a blank line keeps its number: the row after it is still row 3
+    with pytest.raises(ParseError, match="row 3 column 'x1'"):
+        load_csv(small_csv(tmp_path, "time,status,stratum,x1\n1,1,a,0.5\n\n2,0,a,oops\n"))
+
+
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(ParseError, match="row 1"):
         load_csv(small_csv(tmp_path, "time,status,stratum,x\n1,1,a\n"))

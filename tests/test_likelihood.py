@@ -213,6 +213,45 @@ def test_report_flags_control_outputs():
     assert rep.gradient is not None and rep.full_hessian is None
 
 
+PASS_KINDS = {"loglik": dict(want_gradient=False), "gradient": {},
+              "blocks": dict(want_blocks=True), "full": dict(want_full=True)}
+
+
+# (n, P, K, J, seed) of setting-1 scenarios: P <= K and P > K (the product
+# and separable full Hessians), small enough for the brute-force oracle
+# and past 4000 subjects
+@pytest.mark.parametrize("n,P,K,J,seed", [
+    (300, 3, 5, 1, 100), (800, 6, 4, 2, 101), (2000, 4, 5, 3, 102), (4000, 8, 5, 2, 104)])
+def test_every_pass_kind_reports_the_same_loglik(n, P, K, J, seed):
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, J=J, seed=seed))
+    spec = tv.make_spec(degree=min(3, K - 1), K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    rng = np.random.default_rng(seed - 100)
+    for scale in (0.15, 0.3, 0.45):
+        theta = rng.normal(0, scale, (P, K))
+        lls = {kind: evaluate_report(ds, index, basis, theta, **kw).loglik
+               for kind, kw in PASS_KINDS.items()}
+        assert len(set(lls.values())) == 1, lls
+        if n <= 800:
+            assert lls["loglik"] == pytest.approx(brute_loglik(ds, basis.values, theta),
+                                                  rel=1e-10)
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (3, 3), (5, 2), (6, 3)])
+def test_blocks_pass_equals_diagonal_of_full_pass(P, K):
+    # P <= K builds the full Hessian in the product form, P > K separably
+    ds, spec, basis, index = make_instance(211, n=90, P=P, K=K, degree=min(2, K - 1))
+    theta = np.random.default_rng(19).normal(0, 0.3, (P, K))
+    blocks = evaluate_report(ds, index, basis, theta, want_gradient=False,
+                             want_blocks=True).block_hessians
+    full = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+    assert blocks.shape == (P, K, K)
+    for p in range(P):
+        np.testing.assert_allclose(blocks[p], full[p * K:(p + 1) * K, p * K:(p + 1) * K],
+                                   rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+
 # The risk-set pass walks each stratum's distinct event times in chunks of
 # at most _CHUNK_ENTRIES linear predictors.  Shrinking the constant makes
 # the small instances below split into many chunks: 1 entry gives one
