@@ -16,11 +16,10 @@ on broken risk sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import gammaincc
 
 from . import likelihood as lk
 from . import optimizers as opt
@@ -61,13 +60,7 @@ class WaldTest:
     information: str  # "empirical" | "observed"
 
     def to_dict(self) -> dict:
-        return {
-            "covariate": self.covariate,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "information": self.information,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -109,45 +102,68 @@ def contrast_matrix(p: int, P: int, K: int) -> np.ndarray:
 
 
 def chi_square_upper_tail(x: float, df: int) -> float:
-    """Upper tail P(chi2_df > x) as the regularized incomplete gamma Q(df/2, x/2)."""
-    if x < 0:
+    """Upper tail P(chi2_df > x), the regularized incomplete gamma Q(df/2, x/2).
+
+    For integer df the tail has closed forms in h = x/2:
+
+        even df:  Q = sum_{j < df/2}     exp(-h) h^j / j!
+        odd df:   Q = erfc(sqrt h) + sum_{j < (df-1)/2} exp(-h) h^(j+1/2) / Gamma(j+3/2)
+
+    Each term is formed in log space, so a far tail (df 60, x 1600: about
+    7e-295) does not underflow to 0 the way a recurrence from exp(-h) does.
+    """
+    if not x >= 0:
         raise ValueError("x must be non-negative")
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    a = (int(df) % 2) / 2.0  # 0 for even df, 1/2 for odd
+    log_h = math.log(h)
+    terms = (math.exp(-h + (j + a) * log_h - math.lgamma(j + a + 1)) for j in range(int(df) // 2))
+    # rounded terms can sum to 1 + 2**-52 at small x
+    return min(1.0, (math.erfc(math.sqrt(h)) if a else 0.0) + math.fsum(terms))
 
 
-def _factor_spd(A: np.ndarray, label: str, escalate: bool):
-    """Cholesky factor with optional geometric ridge escalation from 1e-10."""
+def _factor_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
+    """Lower Cholesky factor of A, with optional geometric ridge escalation from 1e-10.
+
+    The factorization is the positive-definiteness test: a non-PD matrix
+    raises ``LinAlgError``, and the ridge grows until it passes.
+    """
     eps = 0.0
     scale = float(np.abs(A).max()) or 1.0
     while True:
         try:
-            return cho_factor(A + eps * scale * np.eye(A.shape[0]),
-                              lower=True, check_finite=False)
-        except LinAlgError:
+            return np.linalg.cholesky(A + eps * scale * np.eye(A.shape[0]))
+        except np.linalg.LinAlgError:
             if not escalate or eps >= RIDGE_CEIL:
                 raise RankDeficiencyError(f"{label} is singular") from None
             eps = RIDGE_START if eps == 0.0 else eps * 10
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray, label: str, escalate: bool):
-    return cho_solve(_factor_spd(A, label, escalate), rhs, check_finite=False)
+def _inverse_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
+    """Inverse of the (ridged) SPD matrix A as L^{-T} L^{-1}, symmetric by construction."""
+    L_inv = np.linalg.solve(_factor_spd(A, label, escalate), np.eye(A.shape[0]))
+    return L_inv.T @ L_inv
 
 
-def _empirical_factor(score_residuals):
-    """Ridged Cholesky factor of the empirical information V.
+def _empirical_covariance(score_residuals) -> np.ndarray:
+    """Inverse of the empirical information V, ridged if needed.
 
-    A ``ScoreResiduals`` bundle keeps the factor of its V, so one fit's P
-    Wald tests and its covariance share a single factorization.
+    A ``ScoreResiduals`` bundle keeps this inverse, so one fit's P Wald
+    tests and its covariance share a single factorization of V.
     """
     if not isinstance(score_residuals, lk.ScoreResiduals):
         V = score_residuals.V if hasattr(score_residuals, "V") else np.asarray(score_residuals)
-        return _factor_spd(V, "empirical information", escalate=True)
-    if score_residuals._V_factor is None:
-        score_residuals._V_factor = _factor_spd(score_residuals.V, "empirical information",
-                                                escalate=True)
-    return score_residuals._V_factor
+        return _inverse_spd(V, "empirical information", escalate=True)
+    if score_residuals._V_inverse is None:
+        score_residuals._V_inverse = _inverse_spd(score_residuals.V, "empirical information",
+                                                  escalate=True)
+    return score_residuals._V_inverse
 
 
 def _coefficient_blocks(theta_hat) -> np.ndarray:
@@ -160,17 +176,17 @@ def _coefficient_blocks(theta_hat) -> np.ndarray:
     return theta
 
 
-def _wald(theta: np.ndarray, info_factor, p: int, kind: str) -> WaldTest:
-    """Test of block p, given the Cholesky factor of the information."""
+def _wald(theta: np.ndarray, covariance: np.ndarray, p: int, kind: str) -> WaldTest:
+    """Test of block p, given the inverse of the information."""
     P, K = theta.shape
     C = contrast_matrix(p, P, K)
     d = C @ theta.ravel()
-    # K-1 right-hand sides; the full information is never inverted outright
-    W = cho_solve(info_factor, C.T, check_finite=False)
-    inner = C @ W
+    inner = C @ covariance @ C.T
     inner = 0.5 * (inner + inner.T)
-    y = _solve_spd(inner, d, f"contrast covariance for covariate {p}", escalate=False)
-    stat = max(float(d @ y), 0.0)
+    # S = d' inner^{-1} d = |L^{-1} d|^2 with inner = L L'
+    z = np.linalg.solve(_factor_spd(inner, f"contrast covariance for covariate {p}",
+                                    escalate=False), d)
+    stat = float(z @ z)
     return WaldTest(covariate=p, statistic=stat, df=K - 1,
                     p_value=chi_square_upper_tail(stat, K - 1), information=kind)
 
@@ -183,31 +199,28 @@ def wald_test_empirical(theta_hat, score_residuals, p: int) -> WaldTest:
     standardization, so theta and V may live on the fitting scale.
     """
     theta = _coefficient_blocks(theta_hat)
-    return _wald(theta, _empirical_factor(score_residuals), p, "empirical")
+    return _wald(theta, _empirical_covariance(score_residuals), p, "empirical")
 
 
 def wald_test_observed(theta_hat, full_hessian, p: int) -> WaldTest:
     """Constancy test for covariate p using the observed information -hess."""
     theta = _coefficient_blocks(theta_hat)
-    info = _factor_spd(-np.asarray(full_hessian), "observed information", escalate=True)
-    return _wald(theta, info, p, "observed")
+    return _wald(theta, covariance_from_hessian(full_hessian), p, "observed")
 
 
 def test_all_covariates(theta_hat, score_residuals) -> list:
     theta = _coefficient_blocks(theta_hat)
-    info = _empirical_factor(score_residuals)
-    return [_wald(theta, info, p, "empirical") for p in range(theta.shape[0])]
+    cov = _empirical_covariance(score_residuals)
+    return [_wald(theta, cov, p, "empirical") for p in range(theta.shape[0])]
 
 
 def covariance_from_residuals(score_residuals) -> np.ndarray:
     """Inverse of the empirical information, ridged if needed (desk scale)."""
-    info = _empirical_factor(score_residuals)
-    return cho_solve(info, np.eye(info[0].shape[0]), check_finite=False)
+    return _empirical_covariance(score_residuals).copy()
 
 
 def covariance_from_hessian(full_hessian) -> np.ndarray:
-    A = -np.asarray(full_hessian)
-    return _solve_spd(A, np.eye(A.shape[0]), "observed information", escalate=True)
+    return _inverse_spd(-np.asarray(full_hessian), "observed information", escalate=True)
 
 
 def curve_with_bands(theta_hat, covariance, spec: SplineSpec, grid,

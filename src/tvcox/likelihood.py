@@ -141,8 +141,9 @@ class ScoreResiduals:
     event_rows: np.ndarray  # original dataset rows, one per event
     total: np.ndarray       # column sum, equals the gradient
     V: np.ndarray           # PK x PK
-    # Cholesky factor of V, kept by the first inference call that needs it
-    _V_factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # ridged inverse of V (the empirical covariance), kept by the first
+    # inference call that needs it and shared by the Wald tests
+    _V_inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _group_basis(s, basis_values):

@@ -40,7 +40,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from . import likelihood as lk
 from .data import RiskIndex, SurvivalDataset, build_risk_index, standardize
@@ -183,20 +182,23 @@ def _ridged_solve(A: np.ndarray, rhs: np.ndarray, ridge: float, label: str):
     """Solve (A + eps I) x = rhs with geometric ridge escalation.
 
     A is a negated Hessian (block or full), expected positive semi-definite;
-    escalation covers indefiniteness from sparse right-tail risk sets.
+    escalation covers indefiniteness from sparse right-tail risk sets.  The
+    Cholesky factorization is the positive-definiteness test.
     """
     eps = ridge
     eye = np.eye(A.shape[0])
     while True:
+        ridged = A + eps * eye
         try:
-            cf = cho_factor(A + eps * eye, lower=True, check_finite=False)
-            return cho_solve(cf, rhs, check_finite=False), eps
-        except LinAlgError:
+            np.linalg.cholesky(ridged)
+        except np.linalg.LinAlgError:
             if eps >= RIDGE_CEIL:
                 raise ConditioningError(
                     f"{label} not positive definite up to ridge {RIDGE_CEIL}") from None
             eps = 1e-8 if eps == 0 else eps * 10
             eps = min(eps, RIDGE_CEIL)
+        else:
+            return np.linalg.solve(ridged, rhs), eps
 
 
 def mmsa_block_quantities(report: lk.LikelihoodReport, p: int, ridge: float):
@@ -576,7 +578,7 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
     for p in range(P):
         g = report_at_theta.gradient_block(p)
         A = -report_at_theta.block_hessians[p]
-        lam, U = eigh(A)
+        lam, U = np.linalg.eigh(A)
         if lam.min() <= 0:
             return False
         c_p = float(g @ (U @ ((U.T @ g) / lam)))
@@ -585,5 +587,5 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
         sl = slice(p * K, (p + 1) * K)
         inv_sqrt[sl, sl] = (U * (1.0 / np.sqrt(c_p * lam))) @ U.T
     M = inv_sqrt @ neg_hess_mid @ inv_sqrt
-    lam_max = eigh(0.5 * (M + M.T), eigvals_only=True)[-1]
+    lam_max = np.linalg.eigvalsh(0.5 * (M + M.T))[-1]
     return bool(lam_max < 1.0 / nu)

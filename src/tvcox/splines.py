@@ -6,6 +6,12 @@ are ``K - d - 1`` interior knots, placed at empirical quantiles of the
 distinct event times so each basis function sees a comparable share of the
 events.  Evaluation outside the domain clamps to the nearest endpoint, so
 late censoring times reuse the boundary basis values.
+
+Values come from the Cox–de Boor recursion, run for all times at once.
+Each time falls in one knot interval ``[knots[i], knots[i+1])``, with ``i``
+clipped to ``[degree, K-1]``: the basis is right-continuous at interior
+knots, and the right end of the domain belongs to the last interval.  Only
+the ``degree + 1`` functions ``i - degree .. i`` are non-zero there.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import InvalidSpecError, KnotCollisionError
 
@@ -144,13 +149,36 @@ def evaluate(spec: SplineSpec, t: float) -> np.ndarray:
 def evaluate_batch(spec: SplineSpec, times) -> BasisMatrix:
     """Evaluate the basis at many times at once.
 
-    Times outside the domain are clamped to the nearest endpoint before
-    evaluation, so every row is a valid partition-of-unity basis vector.
+    Times outside the domain, infinite ones included, are clamped to the
+    nearest endpoint before evaluation, so every row is a valid
+    partition-of-unity basis vector.  No times give a 0 x K matrix.
+
+    Raises
+    ------
+    InvalidSpecError
+        If ``times`` is not one-dimensional or holds a NaN.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise InvalidSpecError("times must be one-dimensional")
+    if np.isnan(times).any():
+        raise InvalidSpecError("times must not be NaN")
     lo, hi = spec.domain
-    clamped = np.clip(times, lo, hi)
-    design = BSpline.design_matrix(clamped, spec.knots, spec.degree, extrapolate=False)
-    return BasisMatrix(times=times, values=design.toarray())
+    t = np.clip(times, lo, hi)
+    knots, d = spec.knots, spec.degree
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, d, spec.K - 1)
+    r = np.arange(d)[:, None]
+    left = t - knots[i - r]         # row r: t - knots[i - r]
+    right = knots[i + 1 + r] - t    # row r: knots[i + 1 + r] - t
+    # after step j, row r of N holds function i - j + r of degree j: each
+    # degree-(j-1) value is split between the two degree-j functions it feeds
+    N = np.zeros((d + 1, t.size))
+    N[0] = 1.0
+    for j in range(1, d + 1):
+        back = left[j - 1::-1]
+        share = N[:j] / (right[:j] + back)
+        N[:j] = right[:j] * share
+        N[1:j + 1] += back * share
+    values = np.zeros((t.size, spec.K))
+    values[np.arange(t.size)[:, None], i[:, None] - d + np.arange(d + 1)] = N.T
+    return BasisMatrix(times=times, values=values)

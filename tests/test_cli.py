@@ -414,6 +414,13 @@ class TestEntryPoint:
         assert out.exists()
         assert "wrote 40 subjects" in proc.stdout
 
+    def test_cli_import_loads_no_scipy(self):
+        proc = TestThreadCap.run_child(
+            "import sys, tvcox.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
 
 class TestThreadCap:
     """TVCOX_NUM_THREADS reaches the BLAS libraries only before numpy loads."""

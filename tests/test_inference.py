@@ -123,6 +123,29 @@ class TestChiSquareTail:
         with pytest.raises(ValueError, match="positive integer"):
             chi_square_upper_tail(1.0, 2.5)
 
+    def test_nan_statistic_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            chi_square_upper_tail(math.nan, 2)
+
+    def test_infinite_statistic_has_zero_tail(self):
+        assert chi_square_upper_tail(math.inf, 1) == 0.0
+        assert chi_square_upper_tail(math.inf, 4) == 0.0
+
+    def test_far_tail_does_not_underflow(self):
+        # about 7e-295; a term recurrence started from exp(-x/2) gives 0 here
+        assert 0.0 < chi_square_upper_tail(1600.0, 60) < 1e-290
+
+    def test_matches_scipy_gammaincc(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.concatenate([[0.0], np.geomspace(1e-8, 2000.0, 400),
+                             np.linspace(0.5, 2000.0, 400)])
+        for df in range(1, 61):
+            got = np.array([chi_square_upper_tail(x, df) for x in xs])
+            # below the smallest normal float gammaincc flushes to 0, while
+            # the closed form keeps subnormal values
+            np.testing.assert_allclose(got, special.gammaincc(df / 2.0, xs / 2.0),
+                                       rtol=1e-12, atol=np.finfo(float).tiny)
+
 
 class TestWaldStatistic:
     def test_constant_block_scores_zero(self):

@@ -125,3 +125,35 @@ def test_local_support_width():
     t = np.linspace(0, spec.domain[1], 400)
     B = evaluate_batch(spec, t).values
     assert ((B > 1e-12).sum(axis=1) <= spec.degree + 1).all()
+
+
+def test_no_times_give_an_empty_matrix():
+    spec = make_spec(degree=3, K=6, event_times=np.linspace(0.1, 2.9, 30))
+    B = evaluate_batch(spec, []).values
+    assert B.shape == (0, 6)
+
+
+def test_nan_time_is_invalid():
+    spec = make_spec(degree=3, K=6, event_times=np.linspace(0.1, 2.9, 30))
+    with pytest.raises(InvalidSpecError, match="NaN"):
+        evaluate_batch(spec, [0.5, math.nan])
+
+
+def test_infinite_times_clamp_to_the_end_rows():
+    spec = make_spec(degree=3, K=6, event_times=np.linspace(0.1, 2.9, 30))
+    B = evaluate_batch(spec, [-math.inf, math.inf]).values
+    ends = evaluate_batch(spec, list(spec.domain)).values
+    assert np.array_equal(B, ends)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_rows_match_scipy_design_matrix(degree):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(40 + degree)
+    for n_interior in range(8):
+        interior = np.sort(rng.uniform(0.1, 2.9, n_interior))
+        spec = SplineSpec(degree=degree, interior=interior, domain=(0.0, 3.0))
+        t = np.concatenate([np.linspace(0.0, 3.0, 2001), spec.knots, [0.0, 3.0]])
+        want = interpolate.BSpline.design_matrix(t, spec.knots, degree,
+                                                 extrapolate=False).toarray()
+        np.testing.assert_allclose(evaluate_batch(spec, t).values, want, rtol=0, atol=1e-14)
