@@ -8,14 +8,12 @@ constancy, pointwise confidence bands, cross-validated selection of the
 basis dimension, and a simulation harness round out the package.
 """
 
-from . import _threads  # noqa: F401  (must precede every numpy import)
-
 # numpy loads these two on first use: np.unique reaches numpy.ma, and
 # simulation, folds and subsamples draw from numpy.random.  Loading them with
 # the package keeps one-time module objects out of a command's allocations,
 # so the first fit in a process allocates what later ones do.
-import numpy.ma  # noqa: E402,F401
-import numpy.random  # noqa: E402,F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 from ._version import __version__
 from .data import (
     RiskIndex,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _threads, inference, likelihood, simulate
+from . import inference, likelihood, simulate
 from ._version import __version__
 from .data import load_csv, write_csv
 from .errors import TvcoxError, UsageError
@@ -75,24 +75,6 @@ class _Parser(argparse.ArgumentParser):
     # for the max-iterations outcome; route through UsageError instead
     def error(self, message):
         raise UsageError(message)
-
-
-def _apply_thread_env():
-    value = os.environ.get("TVCOX_NUM_THREADS")
-    if not value:
-        return
-    limit = _threads.thread_limit(value)
-    if limit is None:
-        raise UsageError(f"TVCOX_NUM_THREADS must be a positive integer, got {value!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        if _threads.LIMIT_SET_AT_IMPORT != limit:
-            print(f"WARNING: TVCOX_NUM_THREADS={limit} not applied: numpy was "
-                  "loaded before tvcox and threadpoolctl is not installed",
-                  file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _atomic_write(path: str, content) -> None:
@@ -339,7 +321,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_env()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except TvcoxError as e:

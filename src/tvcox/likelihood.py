@@ -367,10 +367,10 @@ def block_hessians(dataset, index, basis, theta) -> np.ndarray:
                            want_blocks=True).block_hessians
 
 
-def full_hessian(dataset, index, basis, theta, guard: int = FULL_HESSIAN_GUARD) -> np.ndarray:
-    """Dense PK x PK Hessian; guarded against accidental huge builds."""
+def full_hessian(dataset, index, basis, theta) -> np.ndarray:
+    """Dense PK x PK Hessian; refused past ``FULL_HESSIAN_GUARD``."""
     return evaluate_report(dataset, index, basis, theta, want_gradient=False,
-                           want_full=True, guard=guard).full_hessian
+                           want_full=True).full_hessian
 
 
 def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,

@@ -159,8 +159,7 @@ class FitResult:
             return self.theta
         return self.theta / np.asarray(self.transform.scale)[:, None]
 
-    def to_json_dict(self, version: str, max_trace: int | None = None) -> dict:
-        trace = self.trace if max_trace is None else self.trace[:max_trace]
+    def to_json_dict(self, version: str) -> dict:
         return {
             "version": version,
             "optimizer": self.optimizer,
@@ -173,7 +172,7 @@ class FitResult:
             "converged": bool(self.converged),
             "reason": self.reason,
             "config": self.config.to_dict(),
-            "trace": [[int(b), float(c), float(l)] for b, c, l in trace],
+            "trace": [[int(b), float(c), float(l)] for b, c, l in self.trace],
             "wall_time_sec": float(self.wall_time_sec),
         }
 
@@ -401,9 +400,9 @@ def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0):
     return None  # numerically zero step; caller treats as no movement
 
 
-def _newton_step(problem: _Problem, config: MmsaConfig, guard: int):
+def _newton_step(problem: _Problem, config: MmsaConfig):
     def step(theta, m, ll_prev):
-        rep = problem.report(theta, want_full=True, guard=guard)
+        rep = problem.report(theta, want_full=True)
         ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
 
@@ -419,17 +418,15 @@ def _newton_step(problem: _Problem, config: MmsaConfig, guard: int):
 
 
 def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
-               init_theta=None, do_standardize: bool = True,
-               guard: int = lk.FULL_HESSIAN_GUARD) -> FitResult:
+               init_theta=None, do_standardize: bool = True) -> FitResult:
     """Full-Hessian Newton ascent with backtracking line search.
 
-    The dense PK x PK Hessian is built each iteration (guarded by
-    ``guard``), ridged if necessary, and the step halved until the Armijo
-    condition holds.  Stops on gradient sup-norm < tol (reported as
-    score-threshold) or relative log-likelihood change < tol.
+    The dense PK x PK Hessian is built each iteration (refused past
+    ``likelihood.FULL_HESSIAN_GUARD``), ridged if necessary, and the step
+    halved until the Armijo condition holds.  Stops on gradient sup-norm <
+    tol (reported as score-threshold) or relative log-likelihood change < tol.
     """
-    return _drive("newton", lambda problem, cfg: _newton_step(problem, cfg, guard),
-                  dataset, spec, config, init_theta, do_standardize)
+    return _drive("newton", _newton_step, dataset, spec, config, init_theta, do_standardize)
 
 
 def _gradient_step(problem: _Problem, config: MmsaConfig):
@@ -554,8 +551,7 @@ def adagrad_fit(dataset: SurvivalDataset, spec: SplineSpec,
 
 def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
                             basis: BasisMatrix, report_at_theta: lk.LikelihoodReport,
-                            theta_next, nu: float,
-                            guard: int = lk.FULL_HESSIAN_GUARD) -> bool:
+                            theta_next, nu: float) -> bool:
     """Diagnostic check of the surrogate-minorization eigenvalue bound.
 
     Evaluates lambda_max(H^{-1/2} (-hess(theta_mid)) H^{-1/2}) < 1/nu at the
@@ -571,8 +567,7 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
         raise ValueError("report must carry the gradient and block Hessians")
     theta_next = lk.as_matrix(theta_next, P, K)
     mid = 0.5 * (report_at_theta.theta + theta_next)
-    neg_hess_mid = -lk.evaluate_report(dataset, index, basis, mid, want_gradient=False,
-                                       want_full=True, guard=guard).full_hessian
+    neg_hess_mid = -lk.full_hessian(dataset, index, basis, mid)
     # H^{-1/2} assembled block by block from eigendecompositions
     inv_sqrt = np.zeros((P * K, P * K))
     for p in range(P):

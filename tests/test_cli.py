@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tvcox
+from tvcox import cli
 from tvcox.cli import main
 from tvcox.data import SurvivalDataset, write_csv
 
@@ -26,6 +27,16 @@ def simulate_csv(tmp_path, capsys, n=150, seed=5, name="data.csv"):
                         "--seed", str(seed), "--out", str(path)], capsys)
     assert rc == 0, err
     return str(path)
+
+
+def run_child(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this process's tvcox."""
+    package_root = os.path.dirname(os.path.dirname(tvcox.__file__))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath, **env})
 
 
 def read_rows(path):
@@ -251,22 +262,40 @@ class TestUsageErrors:
         assert rc == 1
         assert err.startswith("ERROR USAGE:")
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TVCOX_NUM_THREADS", "many")
-        rc, _, err = run(["simulate", "--setting", "3", "--n", "10",
-                          "--seed", "1", "--out", "x.csv"], capsys)
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--data", "{data}", "--K", "4", "--eta", "0"],
+         "subsample_fraction must be in (0, 1]"),
+        (["fit", "--data", "{data}", "--K", "4", "--nu", "-1"],
+         "learning_rate must be positive"),
+        (["fit", "--data", "{data}", "--K", "4", "--config", "{tmp}/missing.json"],
+         "cannot read config file: "),
+        (["bench", "--setting", "3", "--n", "60", "--K", "4", "--replicates", "1",
+          "--seed", "1", "--optimizers", ","],
+         "--optimizers must list at least one optimizer"),
+        (["cv", "--data", "{data}", "--K-grid", ",", "--seed", "1"],
+         "--K-grid must list at least one K"),
+    ])
+    def test_rejected_values_write_nothing(self, argv, message, tmp_path, capsys):
+        data = simulate_csv(tmp_path, capsys, n=60, seed=8)
+        out = tmp_path / "out"
+        argv = [a.format(data=data, tmp=tmp_path) for a in argv] + ["--out", str(out)]
+        rc, _, err = run(argv, capsys)
         assert rc == 1
-        assert "TVCOX_NUM_THREADS" in err
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_thread_env(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TVCOX_NUM_THREADS", value)
-        out = tmp_path / "x.csv"
-        rc, _, err = run(["simulate", "--setting", "3", "--n", "10",
-                          "--seed", "1", "--out", str(out)], capsys)
-        assert rc == 1
-        assert err.startswith("ERROR USAGE: TVCOX_NUM_THREADS")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR USAGE: " + message)
         assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "fit.json"
+
+        def writer(name):
+            with open(name, "w") as fh:
+                fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._atomic_write(str(target), writer)
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -408,65 +437,16 @@ class TestEntryPoint:
             [sys.executable, "-m", "tvcox.cli", "simulate", "--setting", "3",
              "--n", "40", "--seed", "2", "--out", str(out)],
             capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "TVCOX_NUM_THREADS": "1",
-                 "PYTHONPATH": pythonpath})
+            env={"PATH": "/usr/bin:/bin", "OMP_NUM_THREADS": "1",
+                 "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "wrote 40 subjects" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
-        proc = TestThreadCap.run_child(
+        proc = run_child(
             "import sys, tvcox.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
 
-
-class TestThreadCap:
-    """TVCOX_NUM_THREADS reaches the BLAS libraries only before numpy loads."""
-
-    @staticmethod
-    def run_child(code, **env):
-        package_root = os.path.dirname(os.path.dirname(tvcox.__file__))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath, **env})
-
-    def test_import_sets_blas_variables_before_numpy(self):
-        proc = self.run_child(
-            "import os, tvcox\n"
-            "print(*(os.environ.get(v) for v in "
-            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))",
-            TVCOX_NUM_THREADS="1", OPENBLAS_NUM_THREADS="3")
-        assert proc.returncode == 0, proc.stderr
-        # a variable the user set is kept
-        assert proc.stdout.split() == ["1", "3", "1"]
-
-    def test_import_ignores_a_non_positive_cap(self):
-        proc = self.run_child(
-            "import os, tvcox\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
-            TVCOX_NUM_THREADS="0")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["None"]
-
-    def test_warns_when_numpy_was_loaded_first(self, tmp_path):
-        out = tmp_path / "t.csv"
-        proc = self.run_child(
-            "import importlib.util, sys\n"
-            "import numpy\n"
-            "from tvcox.cli import main\n"
-            "print(importlib.util.find_spec('threadpoolctl') is not None)\n"
-            f"sys.exit(main(['simulate', '--setting', '3', '--n', '10', "
-            f"'--seed', '1', '--out', {str(out)!r}]))",
-            TVCOX_NUM_THREADS="1")
-        assert proc.returncode == 0, proc.stderr
-        has_threadpoolctl = proc.stdout.splitlines()[0] == "True"
-        if has_threadpoolctl:
-            assert proc.stderr == ""
-        else:
-            assert proc.stderr.splitlines() == [
-                "WARNING: TVCOX_NUM_THREADS=1 not applied: numpy was loaded "
-                "before tvcox and threadpoolctl is not installed"]

@@ -85,6 +85,27 @@ def test_dataset_requires_an_event():
                            ("s",), np.zeros((1, 1)), ("x",))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(status=np.array([1, 0, 1])), "time, status and stratum must have equal length"),
+    (dict(covariates=np.zeros(2)), "covariate matrix must have one row per subject"),
+    (dict(covariate_names=("x", "y")), "covariate_names must match the covariate column count"),
+    (dict(time=np.empty(0), status=np.empty(0), stratum=np.empty(0),
+          covariates=np.empty((0, 1))), "dataset is empty"),
+    (dict(time=np.array([1.0, np.nan])), "all times must be finite and >= 0"),
+    (dict(time=np.array([1.0, -2.0])), "all times must be finite and >= 0"),
+    (dict(status=np.array([1, 2])), "status must be 0 or 1"),
+    (dict(covariates=np.array([[0.5], [np.inf]])), "covariates contain non-finite values"),
+    (dict(stratum=np.array([0, 1])), "stratum codes must index stratum_labels"),
+])
+def test_dataset_input_checks(overrides, message):
+    fields = dict(time=np.array([1.0, 2.0]), status=np.array([1, 0]),
+                  stratum=np.zeros(2, dtype=np.int64), stratum_labels=("a",),
+                  covariates=np.zeros((2, 1)), covariate_names=("x",))
+    with pytest.raises(DomainError) as exc:
+        tv.SurvivalDataset(**{**fields, **overrides})
+    assert str(exc.value) == message
+
+
 def test_zero_event_stratum_warns():
     with pytest.warns(UserWarning, match="zero events"):
         tv.SurvivalDataset(np.array([1.0, 2.0]), np.array([1, 0]),

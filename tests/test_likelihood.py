@@ -205,6 +205,19 @@ def test_vec_conventions_round_trip():
     np.testing.assert_array_equal(as_vector(m, 3, 4), np.arange(12.0))
 
 
+def test_as_matrix_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"theta must have shape \(2,3\) or \(6,\), got \(5,\)"):
+        as_matrix(np.zeros(5), 2, 3)
+
+
+def test_score_residuals_reject_non_finite_coefficients():
+    ds, spec, basis, index = make_instance(92, n=30, P=2, K=3)
+    theta = np.zeros((2, 3))
+    theta[1, 2] = np.nan
+    with pytest.raises(NumericOverflowError, match="non-finite coefficients"):
+        tv.score_residuals(ds, index, basis, theta)
+
+
 def test_report_flags_control_outputs():
     ds, spec, basis, index = make_instance(101, n=25, P=2, K=3)
     rep = evaluate_report(ds, index, basis, np.zeros((2, 3)), want_gradient=False)

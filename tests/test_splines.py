@@ -88,6 +88,15 @@ def test_make_spec_rejects_k_below_minimum():
         make_spec(degree=3, K=3, event_times=np.linspace(0.1, 2, 20))
 
 
+@pytest.mark.parametrize("event_times, message", [
+    (np.array([]), "event_times must be non-empty"),
+    (np.zeros(5), "event times must have positive spread above 0"),
+])
+def test_make_spec_rejects_times_without_spread(event_times, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        make_spec(degree=1, K=2, event_times=event_times)
+
+
 def test_make_spec_rejects_too_few_distinct_events():
     with pytest.raises(KnotCollisionError):
         make_spec(degree=1, K=5, event_times=np.array([1.0, 1.0, 2.0]))
@@ -137,6 +146,12 @@ def test_nan_time_is_invalid():
     spec = make_spec(degree=3, K=6, event_times=np.linspace(0.1, 2.9, 30))
     with pytest.raises(InvalidSpecError, match="NaN"):
         evaluate_batch(spec, [0.5, math.nan])
+
+
+def test_two_dimensional_times_are_invalid():
+    spec = make_spec(degree=3, K=6, event_times=np.linspace(0.1, 2.9, 30))
+    with pytest.raises(InvalidSpecError, match="one-dimensional"):
+        evaluate_batch(spec, np.full((2, 3), 0.5))
 
 
 def test_infinite_times_clamp_to_the_end_rows():
