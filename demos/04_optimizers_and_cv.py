@@ -1,17 +1,14 @@
 """Choosing an optimizer and choosing K.
 
-All five optimizers maximize the same concave partial likelihood, so on
+All three optimizers maximize the same concave partial likelihood, so on
 a well-conditioned problem they should agree on the optimum and differ
 only in how they get there.  The first half of this script fits one
 dataset with each optimizer and tabulates iteration count, stopping
 reason, and two distances from the Newton reference: the log-likelihood
 shortfall and the largest coefficient difference.  The likelihood is
-quite flat near its maximum, so first-order methods can sit within a
-thousandth of the optimal log likelihood while their coefficients still
-differ in the second decimal.  The fixed-step baselines also need steps
-matched to the data scale (the curvature here is hundreds of times
-steeper than on a toy problem), which is exactly why the curvature-aware
-methods are the defaults.  The script also verifies the property the
+quite flat near its maximum, so a method can sit within a thousandth of
+the optimal log likelihood while its coefficients still differ in the
+second decimal.  The script also verifies the property the
 block-selected method is built around: its log-likelihood trace never
 decreases.
 
@@ -27,27 +24,16 @@ import numpy as np
 
 from tvcox import make_spec
 from tvcox.inference import cross_validate_K
-from tvcox.optimizers import (MmsaConfig, adagrad_fit, coordinate_ascent_fit,
-                              gradient_ascent_fit, mmsa_fit, newton_fit)
+from tvcox.optimizers import MmsaConfig, coordinate_ascent_fit, mmsa_fit, newton_fit
 from tvcox.simulate import ScenarioSpec, generate
 
 dataset = generate(ScenarioSpec(setting=1, n=600, P=4, seed=7))
 spec = make_spec(degree=3, K=4, event_times=dataset.event_times)
 print(f"one dataset (n = {dataset.n}, P = {dataset.P}), cubic basis with K = 4\n")
 
-# curvature-aware methods take the shared defaults; the two fixed-step
-# baselines get steps tuned to this data scale
-second_order = MmsaConfig(tol=1e-9, max_iterations=60000)
-runs = [
-    ("newton", newton_fit, second_order),
-    ("mmsa", mmsa_fit, second_order),
-    ("coordinate", coordinate_ascent_fit, second_order),
-    ("gradient", gradient_ascent_fit,
-     MmsaConfig(learning_rate=5e-3, tol=1e-8, max_iterations=60000)),
-    ("adagrad", adagrad_fit,
-     MmsaConfig(learning_rate=0.2, tol=1e-8, max_iterations=60000)),
-]
-fits = [(name, fn(dataset, spec, cfg)) for name, fn, cfg in runs]
+config = MmsaConfig(tol=1e-9, max_iterations=60000)
+runs = [("newton", newton_fit), ("mmsa", mmsa_fit), ("coordinate", coordinate_ascent_fit)]
+fits = [(name, fn(dataset, spec, config)) for name, fn in runs]
 ref = fits[0][1]
 
 print("  optimizer    iters  stopped on              ll shortfall  max |coef diff|")

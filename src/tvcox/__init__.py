@@ -37,7 +37,6 @@ from .errors import (
     ParseError,
     RankDeficiencyError,
     SchemaError,
-    StepSizeError,
     TvcoxError,
     UsageError,
 )
@@ -58,19 +57,15 @@ from .inference import (
 from .likelihood import (
     LikelihoodReport,
     ScoreResiduals,
-    block_hessians,
     evaluate_report,
     full_hessian,
-    gradient,
     loglik,
     score_residuals,
 )
 from .optimizers import (
     FitResult,
     MmsaConfig,
-    adagrad_fit,
     coordinate_ascent_fit,
-    gradient_ascent_fit,
     mmsa_block_quantities,
     mmsa_fit,
     newton_fit,

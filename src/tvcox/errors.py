@@ -60,7 +60,11 @@ class ConditioningError(TvcoxError):
 
 
 class CapacityError(TvcoxError):
-    """The full Hessian would exceed the configured size guard."""
+    """A full-Hessian pass is refused before it allocates.
+
+    Raised when P*K exceeds ``likelihood.FULL_HESSIAN_GUARD``, or when the
+    pass's estimated memory exceeds the machine's physical memory.
+    """
 
     code = "CAPACITY"
 
@@ -69,12 +73,6 @@ class AscentViolationError(TvcoxError):
     """A full-data ascent step decreased the log partial likelihood."""
 
     code = "ASCENT_VIOLATION"
-
-
-class StepSizeError(TvcoxError):
-    """Fixed-step gradient ascent diverged (repeated decreases)."""
-
-    code = "STEP_SIZE"
 
 
 class RankDeficiencyError(TvcoxError):

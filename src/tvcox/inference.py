@@ -284,9 +284,7 @@ def build_folds(dataset: SurvivalDataset, folds: int, seed: int) -> np.ndarray:
 _FIT_BY_NAME = {
     "mmsa": opt.mmsa_fit,
     "newton": opt.newton_fit,
-    "gradient": opt.gradient_ascent_fit,
     "coordinate": opt.coordinate_ascent_fit,
-    "adagrad": opt.adagrad_fit,
 }
 
 

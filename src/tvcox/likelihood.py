@@ -75,8 +75,6 @@ __all__ = [
     "as_vector",
     "evaluate_report",
     "loglik",
-    "gradient",
-    "block_hessians",
     "full_hessian",
     "score_residuals",
 ]
@@ -354,17 +352,6 @@ def loglik(dataset, index, basis, theta) -> float:
     """Log partial likelihood at theta."""
     return evaluate_report(dataset, index, basis, theta,
                            want_gradient=False).loglik
-
-
-def gradient(dataset, index, basis, theta) -> np.ndarray:
-    """Flat gradient; equals the column sum of the score residuals."""
-    return evaluate_report(dataset, index, basis, theta).gradient
-
-
-def block_hessians(dataset, index, basis, theta) -> np.ndarray:
-    """All P diagonal blocks of the Hessian, shape (P, K, K)."""
-    return evaluate_report(dataset, index, basis, theta, want_gradient=False,
-                           want_blocks=True).block_hessians
 
 
 def full_hessian(dataset, index, basis, theta) -> np.ndarray:

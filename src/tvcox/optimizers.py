@@ -14,18 +14,18 @@ selector and the step scaling; the literal normalized quantities remain
 available through :func:`mmsa_block_quantities` and the fit trace.
 
 Baselines used for benchmarking: full-Hessian Newton with backtracking,
-fixed-step gradient ascent, cyclic coordinate ascent, and Adagrad on
-subsampled gradients.  All optimizers standardize covariates internally by
-default and record the transform, and the data they fitted, on the result.
+and cyclic coordinate ascent.  All optimizers standardize covariates
+internally by default and record the transform, and the data they fitted,
+on the result.
 
 Each ``*_fit`` is a small step function run by one private loop,
 ``_drive``, which owns the stopping, the trace and the ``FitResult``.  Every
 iteration is checked in one order: the method's own guard (MMSA's ascent
-check, gradient ascent's ten decreases), then the score test (none in
-stochastic MMSA and Adagrad), then the relative change of the full-data
-log likelihood.  That test compares each full-data log likelihood with
-the previous one and allows tol per update made between them, so a step
-that makes no update cannot pass it by leaving theta where it was.
+check), then the score test (none in stochastic MMSA), then the relative
+change of the full-data log likelihood.  That test compares each
+full-data log likelihood with the previous one and allows tol per update
+made between them, so a step that makes no update cannot pass it by
+leaving theta where it was.
 Stochastic MMSA draws its updates from subsamples and makes its
 full-data loglik-only pass only at the first iteration and after every
 window of 20 updates; a draw with no events, or with every block score
@@ -43,11 +43,7 @@ import numpy as np
 
 from . import likelihood as lk
 from .data import RiskIndex, SurvivalDataset, build_risk_index, standardize
-from .errors import (
-    AscentViolationError,
-    ConditioningError,
-    StepSizeError,
-)
+from .errors import AscentViolationError, ConditioningError
 from .splines import BasisMatrix, SplineSpec, evaluate_batch
 
 __all__ = [
@@ -56,9 +52,7 @@ __all__ = [
     "mmsa_block_quantities",
     "mmsa_fit",
     "newton_fit",
-    "gradient_ascent_fit",
     "coordinate_ascent_fit",
-    "adagrad_fit",
     "verify_ascent_condition",
 ]
 
@@ -77,7 +71,7 @@ class MmsaConfig:
     Attributes
     ----------
     learning_rate : float
-        Step scale nu, > 0.  Used by MMSA, gradient ascent and Adagrad.
+        Step scale nu, > 0.  Used by MMSA only.
     subsample_fraction : float
         Fraction eta in (0, 1] of subjects drawn (without replacement) per
         iteration; 1.0 disables subsampling.  Stochastic runs typically
@@ -88,8 +82,7 @@ class MmsaConfig:
         relative log-likelihood change.  The relative change between two
         full-data log likelihoods is compared with tol times the number
         of updates between them (at least one): the mean change per
-        update.  Adagrad compares the change between its checks, made
-        every 50 iterations, with tol itself.
+        update.
     ridge : float
         Diagonal added to negated Hessian blocks before factorization;
         escalated geometrically up to 1e-2 when a block is not positive
@@ -135,9 +128,8 @@ class FitResult:
     block or -1 when the optimizer has no block structure, stopping-criterion
     value, log likelihood at the latest full-data check).  That check is made
     right before each update, except in stochastic MMSA (at the first
-    iteration and after every 20 updates) and Adagrad (right after the update
-    of every 50th iteration, the only updates it records).  ``converged`` is
-    False only for the max-iterations reason.
+    iteration and after every 20 updates).  ``converged`` is False only for
+    the max-iterations reason.
     """
 
     theta: np.ndarray
@@ -257,18 +249,17 @@ class _Problem:
 
 
 def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
-           config: MmsaConfig | None, init_theta, do_standardize: bool,
-           per_update: bool = True) -> FitResult:
+           config: MmsaConfig | None, init_theta, do_standardize: bool) -> FitResult:
     """Run one fit with the step function that ``make_step(problem, config)`` returns.
 
     ``step(theta, m, ll_prev)`` evaluates iteration m, runs the method's
     guard and returns ``(loglik, score, move)``: the full-data log
     likelihood and the stopping criterion, each None when not evaluated,
-    and ``move(theta)``, which updates and returns ``(theta, trace entry
-    or None)``, or returns None when there is no update.  The relative
-    change of a log likelihood from the previous one stops the fit below
-    tol times the updates made between them (at least one), or below tol
-    when not ``per_update``.
+    and ``move(theta)``, which updates and returns ``(theta, entry)``,
+    with ``entry`` the update's trace entry, or returns None when there is
+    no update.  The relative change of a log likelihood from the previous
+    one stops the fit below tol times the updates made between them (at
+    least one).
     """
     config = config or MmsaConfig()
     t0 = time.perf_counter()
@@ -288,7 +279,7 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
             reason = "score-threshold"
             break
         if ll is not None:
-            tol = config.tol * max(1, since) if per_update else config.tol
+            tol = config.tol * max(1, since)
             if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < tol:
                 reason = "loglik-relative-change"
                 break
@@ -299,8 +290,7 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
         theta, entry = moved
         updates += 1
         since += 1
-        if entry is not None:
-            trace.append(entry)
+        trace.append(entry)
 
     return FitResult(theta=theta, spec=spec, transform=problem.transform,
                      loglik=float(problem.loglik(theta)), iterations=updates,
@@ -429,39 +419,6 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
     return _drive("newton", _newton_step, dataset, spec, config, init_theta, do_standardize)
 
 
-def _gradient_step(problem: _Problem, config: MmsaConfig):
-    decreases = 0
-
-    def step(theta, m, ll_prev):
-        nonlocal decreases
-        rep = problem.report(theta)
-        ll, g = rep.loglik, rep.gradient
-        if ll_prev is not None:
-            decreases = decreases + 1 if ll < ll_prev else 0
-            if decreases >= 10:
-                raise StepSizeError(
-                    f"log likelihood decreased 10 consecutive iterations at "
-                    f"learning_rate {config.learning_rate}")
-        gnorm = np.abs(g).max()
-
-        def move(theta):
-            theta += config.learning_rate * g.reshape(theta.shape)
-            return theta, (-1, float(gnorm), float(ll))
-        return ll, gnorm, move
-    return step
-
-
-def gradient_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
-                        config: MmsaConfig | None = None, init_theta=None,
-                        do_standardize: bool = True) -> FitResult:
-    """Fixed-step full-data gradient ascent, the simplest baseline.
-
-    Raises StepSizeError after 10 consecutive log-likelihood decreases
-    (divergence at the configured learning rate).
-    """
-    return _drive("gradient", _gradient_step, dataset, spec, config, init_theta, do_standardize)
-
-
 def _coordinate_step(problem: _Problem, config: MmsaConfig):
     def step(theta, m, ll_prev):
         rep = problem.report(theta)
@@ -504,49 +461,6 @@ def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
     """
     return _drive("coordinate", _coordinate_step, dataset, spec, config, init_theta,
                   do_standardize)
-
-
-def _adagrad_step(problem: _Problem, config: MmsaConfig):
-    acc = 0.0
-    checked = False  # the last update was a 50th and ended in a full-data loglik
-
-    def step(theta, m, ll_prev):
-        nonlocal checked
-        ll = problem.loglik(theta) if checked else None  # kept from the check: no pass
-        checked = False
-
-        def move(theta):
-            nonlocal acc, checked
-            if config.subsample_fraction < 1.0:
-                drawn = _subsample(problem.data, config, m)
-                if drawn is None:
-                    return None
-                g = lk.evaluate_report(*drawn, theta).gradient
-            else:
-                g = problem.report(theta).gradient
-            acc = acc + g * g
-            theta += (config.learning_rate * g / (np.sqrt(acc) + 1e-8)).reshape(theta.shape)
-            if m % 50 != 0:
-                return theta, None
-            checked = True
-            return theta, (-1, float(np.abs(g).max()), float(problem.loglik(theta)))
-        return ll, None, move
-    return step
-
-
-def adagrad_fit(dataset: SurvivalDataset, spec: SplineSpec,
-                config: MmsaConfig | None = None, init_theta=None,
-                do_standardize: bool = True) -> FitResult:
-    """Adagrad ascent on eta-subsampled gradients.
-
-    Per-coordinate step nu / (sqrt(accumulated squared gradient) + 1e-8),
-    accumulator updated before the step.  Convergence is assessed on the
-    full-data log likelihood every 50 iterations; one trace entry is
-    recorded per checkpoint.
-    """
-    return _drive("adagrad", _adagrad_step, dataset, spec, config, init_theta, do_standardize,
-                  per_update=False)
-
 
 
 def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,

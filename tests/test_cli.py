@@ -274,6 +274,11 @@ class TestUsageErrors:
          "--optimizers must list at least one optimizer"),
         (["cv", "--data", "{data}", "--K-grid", ",", "--seed", "1"],
          "--K-grid must list at least one K"),
+        (["fit", "--data", "{data}", "--K", "4", "--optimizer", "adagrad"],
+         "unknown optimizer 'adagrad'"),
+        (["bench", "--setting", "3", "--n", "60", "--K", "4", "--replicates", "1",
+          "--seed", "1", "--optimizers", "newton,gradient"],
+         "unknown optimizer 'gradient'"),
     ])
     def test_rejected_values_write_nothing(self, argv, message, tmp_path, capsys):
         data = simulate_csv(tmp_path, capsys, n=60, seed=8)

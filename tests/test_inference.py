@@ -466,6 +466,9 @@ class TestCrossValidation:
             cross_validate_K(ds, [])
 
     def test_unknown_optimizer_name(self):
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            fit_by_name("sgd")
+        for name in ("sgd", "gradient", "adagrad"):
+            with pytest.raises(ValueError) as exc:
+                fit_by_name(name)
+            assert str(exc.value) == (f"unknown optimizer '{name}'; "
+                                      "choose from ['coordinate', 'mmsa', 'newton']")
         assert fit_by_name("newton") is newton_fit

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 import tvcox as tv
-from tvcox import (
-    AscentViolationError,
-    ConditioningError,
-    MmsaConfig,
-    StepSizeError,
-)
+from tvcox import AscentViolationError, ConditioningError, MmsaConfig
 from tvcox import optimizers
 from tvcox.inference import fit_by_name
 from tvcox.likelihood import LikelihoodReport, evaluate_report, score_residuals
@@ -220,34 +215,6 @@ class TestMmsa:
 
 
 class TestBaselines:
-    def test_gradient_ascent_single_step_is_nu_times_gradient(self, d0):
-        ds, spec = d0
-        basis = tv.evaluate_batch(spec, ds.time)
-        g0 = evaluate_report(ds, tv.build_risk_index(ds), basis,
-                             np.zeros((1, 1))).gradient
-        fit = tv.gradient_ascent_fit(ds, spec, MmsaConfig(learning_rate=0.1,
-                                                          max_iterations=1),
-                                     do_standardize=False)
-        np.testing.assert_allclose(fit.theta.ravel(), 0.1 * g0, atol=1e-15)
-
-    def test_gradient_ascent_diverges_with_large_step(self, d0):
-        # just past the 2/lambda stability bound the overshoot grows
-        # geometrically, decreasing ll every iteration
-        ds, spec = d0
-        with pytest.raises(StepSizeError, match="10 consecutive"):
-            tv.gradient_ascent_fit(ds, spec, MmsaConfig(learning_rate=4.5,
-                                                        max_iterations=2000),
-                                   do_standardize=False)
-
-    def test_gradient_ascent_converges_on_desk_data(self, d0):
-        ds, spec = d0
-        fit = tv.gradient_ascent_fit(ds, spec, MmsaConfig(learning_rate=0.5,
-                                                          tol=1e-9,
-                                                          max_iterations=20000),
-                                     do_standardize=False)
-        assert fit.converged
-        assert fit.theta[0, 0] == pytest.approx(D0_THETA_STAR, abs=5e-4)
-
     def test_coordinate_matches_newton_when_single_coordinate(self, d0):
         ds, spec = d0
         cfg = MmsaConfig(tol=1e-10)
@@ -264,31 +231,6 @@ class TestBaselines:
         coord = tv.coordinate_ascent_fit(ds, spec, cfg)
         assert coord.loglik == pytest.approx(newton.loglik, abs=1e-6)
         np.testing.assert_allclose(coord.theta, newton.theta, atol=5e-3)
-
-    def test_adagrad_first_step_is_signlike(self, d0):
-        ds, spec = d0
-        fit = tv.adagrad_fit(ds, spec, MmsaConfig(learning_rate=0.02,
-                                                  max_iterations=1),
-                             do_standardize=False)
-        # |g| = 1/6 >> 1e-8, so the first step is nu * sign(g) almost exactly
-        assert abs(fit.theta[0, 0]) == pytest.approx(0.02, rel=1e-6)
-        assert fit.theta[0, 0] < 0
-
-    def test_adagrad_trace_is_bit_identical_for_fixed_seed(self):
-        ds, spec, _, _ = make_instance(15, n=60, P=2, K=3)
-        cfg = MmsaConfig(learning_rate=0.05, subsample_fraction=0.5,
-                         max_iterations=200, seed=3)
-        a = tv.adagrad_fit(ds, spec, cfg)
-        b = tv.adagrad_fit(ds, spec, cfg)
-        assert a.trace == b.trace
-        np.testing.assert_array_equal(a.theta, b.theta)
-
-    def test_adagrad_converges_roughly_on_desk_data(self, d0):
-        ds, spec = d0
-        fit = tv.adagrad_fit(ds, spec, MmsaConfig(learning_rate=0.05, tol=1e-9,
-                                                  max_iterations=20000),
-                             do_standardize=False)
-        assert fit.theta[0, 0] == pytest.approx(D0_THETA_STAR, abs=5e-3)
 
 
 class TestFitResult:
@@ -330,25 +272,13 @@ class TestFitResult:
             MmsaConfig(max_iterations=0)
 
 
-# a config under which each optimizer converges on make_instance(19) in well
-# under a second, and an iteration cap that stops it first (adagrad's cap is a
-# multiple of its 50-update check)
-CONVERGING = {
-    "mmsa": (MmsaConfig(), 2),
-    "newton": (MmsaConfig(), 2),
-    "gradient": (MmsaConfig(learning_rate=0.03), 2),
-    "coordinate": (MmsaConfig(), 2),
-    "adagrad": (MmsaConfig(learning_rate=0.3), 100),
-}
-
-
+# each optimizer converges on make_instance(19) in well under a second at the
+# default config, and a cap of 2 updates stops it first
 @pytest.mark.parametrize("capped", [False, True], ids=["converged", "max-iterations"])
-@pytest.mark.parametrize("name", sorted(CONVERGING))
+@pytest.mark.parametrize("name", ["coordinate", "mmsa", "newton"])
 def test_reported_loglik_is_at_the_returned_theta(name, capped):
     ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
-    config, cap = CONVERGING[name]
-    if capped:
-        config = dataclasses.replace(config, max_iterations=cap)
+    config = MmsaConfig(max_iterations=2) if capped else MmsaConfig()
     fit = fit_by_name(name)(ds, spec, config)
     assert fit.converged is not capped
     work, _ = tv.standardize(ds)
