@@ -30,8 +30,9 @@ Stochastic MMSA draws its updates from subsamples and makes its
 full-data loglik-only pass only at the first iteration and after every
 window of 20 updates; a draw with no events, or with every block score
 below tol, makes no update and brings the next check no closer.  The
-reported log likelihood is a loglik-only pass at the returned theta,
-reused when a step already made that pass there.
+reported log likelihood is read off the latest full-data pass when it
+was made at the returned theta, of whatever kind, since every pass kind
+reports the same value; otherwise a loglik-only pass is made there.
 """
 
 from __future__ import annotations
@@ -236,16 +237,22 @@ class _Problem:
             dataset, self.transform = standardize(dataset)
         basis = evaluate_batch(spec, dataset.time)
         self.data = (dataset, build_risk_index(dataset), basis)
-        self._latest = None  # (theta, loglik) of the latest loglik-only pass
+        self._latest = None  # (wants, report) of the latest pass, of any kind
 
     def report(self, theta, **wants) -> lk.LikelihoodReport:
-        return lk.evaluate_report(*self.data, theta, **wants)
+        """Full-data pass at theta, reused when the latest pass made there had these wants."""
+        kept = self._latest
+        if kept is None or kept[0] != wants or not np.array_equal(kept[1].theta, theta):
+            self._latest = (wants, lk.evaluate_report(*self.data, theta, **wants))
+        return self._latest[1]
 
     def loglik(self, theta: np.ndarray) -> float:
-        """Full-data log likelihood at theta from a loglik-only pass, kept for reuse."""
-        if self._latest is None or not np.array_equal(self._latest[0], theta):
-            self._latest = (theta.copy(), self.report(theta, want_gradient=False).loglik)
-        return self._latest[1]
+        """Full-data log likelihood at theta, read off the latest pass when it was made
+        there (every pass kind reports the same value), else from a loglik-only pass."""
+        kept = self._latest
+        if kept is not None and np.array_equal(kept[1].theta, theta):
+            return kept[1].loglik
+        return self.report(theta, want_gradient=False).loglik
 
 
 def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
@@ -378,28 +385,42 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     return _drive("mmsa", _mmsa_step, dataset, spec, config, init_theta, do_standardize)
 
 
-def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0):
-    """Armijo backtracking from unit step; returns (new_theta, new_ll) or None."""
+def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, full_unit=False):
+    """Armijo backtracking from unit step; returns (new_theta, new_ll, step) or None.
+
+    Halved steps are evaluated by loglik-only passes, and so is the unit step
+    unless ``full_unit``: then it gets the full pass that Newton's next
+    iteration reuses when the step is accepted.
+    """
     step = 1.0
     for _ in range(MAX_HALVINGS):
         cand = theta + step * direction
-        ll_new = problem.loglik(cand)
+        if full_unit and step == 1.0:
+            ll_new = problem.report(cand, want_full=True).loglik
+        else:
+            ll_new = problem.loglik(cand)
         if ll_new >= ll0 + ARMIJO_C * step * g_dot_d:
-            return cand, ll_new
+            return cand, ll_new, step
         step *= ARMIJO_SHRINK
     return None  # numerically zero step; caller treats as no movement
 
 
 def _newton_step(problem: _Problem, config: MmsaConfig):
+    # a full pass at the unit step is wasted when the step fails Armijo, so
+    # it is made only while the previous iteration's unit step was accepted
+    full_unit = True
+
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
         ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
 
         def move(theta):
+            nonlocal full_unit
             flat_dir, _ = _ridged_solve(-rep.full_hessian, g, config.ridge, "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
-                               float(g @ flat_dir), ll)
+                               float(g @ flat_dir), ll, full_unit)
+            full_unit = moved is not None and moved[2] == 1.0
             if moved is None:
                 return None  # relative-change stop fires next iteration
             return moved[0], (-1, float(gnorm), float(ll))
@@ -415,6 +436,13 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
     ``likelihood.FULL_HESSIAN_GUARD``), ridged if necessary, and the step
     halved until the Armijo condition holds.  Stops on gradient sup-norm <
     tol (reported as score-threshold) or relative log-likelihood change < tol.
+
+    The unit step is evaluated by a full pass, which becomes the next
+    iteration's pass when the step is accepted, so an iteration whose unit
+    step passes makes one likelihood pass.  After an iteration whose unit
+    step failed Armijo, the next unit step gets a loglik-only pass instead,
+    as halved steps always do, so that a failing run of steps wastes no
+    full pass after the first.
     """
     return _drive("newton", _newton_step, dataset, spec, config, init_theta, do_standardize)
 
@@ -444,7 +472,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
                     direction[p, k] = d_pk
                     moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur)
                     if moved is not None:
-                        theta, ll_cur = moved
+                        theta, ll_cur, _ = moved
             return theta, (-1, float(gnorm), float(ll))
         return ll, gnorm, move
     return step

@@ -341,8 +341,8 @@ def eventless_instance():
 
 
 def count_passes(monkeypatch):
-    """Count full-data loglik-only and blocks passes through evaluate_report."""
-    counts = {"loglik": 0, "blocks": 0}
+    """Count full-data loglik-only, blocks and full passes through evaluate_report."""
+    counts = {"loglik": 0, "blocks": 0, "full": 0}
     real = optimizers.lk.evaluate_report
 
     def counted(dataset, index, basis, theta, **wants):
@@ -350,6 +350,8 @@ def count_passes(monkeypatch):
             counts["loglik"] += 1
         if wants.get("want_blocks"):
             counts["blocks"] += 1
+        if wants.get("want_full"):
+            counts["full"] += 1
         return real(dataset, index, basis, theta, **wants)
     monkeypatch.setattr(optimizers.lk, "evaluate_report", counted)
     return counts
@@ -399,7 +401,8 @@ class TestStochasticCheckWindow:
         fit = tv.mmsa_fit(ds, spec, MmsaConfig(max_iterations=cap or 20000))
         assert fit.converged is (cap is None)
         assert counts["blocks"] == fit.iterations + fit.converged
-        assert counts["loglik"] == 1  # the reported value only
+        # the reported value: a converged fit reads it off its last blocks pass
+        assert counts["loglik"] == (0 if fit.converged else 1)
 
     @pytest.mark.parametrize("config", STOCHASTIC, ids=["converged", "max-iterations"])
     def test_trace_holds_the_latest_full_data_check(self, config, monkeypatch):
@@ -416,6 +419,75 @@ class TestStochasticCheckWindow:
         assert len({ll for _, _, ll in fit.trace}) <= n_checks
         if fit.converged:
             np.testing.assert_array_equal(fit.theta, checks[n_checks][0])
+
+
+def record_steps(monkeypatch):
+    """Step length of every line search a fit makes (None when it fails)."""
+    steps = []
+    real = optimizers._backtrack
+
+    def recorded(*args, **kwargs):
+        moved = real(*args, **kwargs)
+        steps.append(None if moved is None else moved[2])
+        return moved
+    monkeypatch.setattr(optimizers, "_backtrack", recorded)
+    return steps
+
+
+class TestNewtonPasses:
+    """One full pass per Newton iteration; a unit step after one that failed
+    Armijo is evaluated by a loglik-only pass instead."""
+
+    def test_accepted_unit_steps_make_one_full_pass_each(self, monkeypatch):
+        ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+        counts = count_passes(monkeypatch)
+        steps = record_steps(monkeypatch)
+        fit = tv.newton_fit(ds, spec, MmsaConfig(tol=1e-8))
+        assert fit.iterations >= 3 and steps == [1.0] * fit.iterations
+        assert counts == {"loglik": 0, "blocks": 0, "full": fit.iterations + 1}
+
+    def test_failed_unit_step_follows_the_rule(self, monkeypatch):
+        ds, spec, _, _ = make_instance(14, n=80, P=2, K=3)
+        counts = count_passes(monkeypatch)
+        steps = record_steps(monkeypatch)
+        fit = tv.newton_fit(ds, spec, MmsaConfig(tol=1e-8), init_theta=np.ones((2, 3)))
+        assert fit.converged and 1.0 in steps[2:]
+        assert steps[1] == 0.125  # the second unit step fails Armijo, three halvings
+        expected = {"loglik": 0, "blocks": 0, "full": 1}  # the starting point
+        full_unit = True
+        for step in steps:
+            halvings = round(-math.log2(step))
+            if full_unit:
+                expected["full"] += 1  # the unit step's pass, reused when accepted
+            else:
+                expected["loglik"] += 1
+            expected["loglik"] += halvings
+            if halvings or not full_unit:
+                expected["full"] += 1  # the next iteration's pass
+            full_unit = halvings == 0
+        assert counts == expected
+
+
+def no_reuse(monkeypatch):
+    """Make every _Problem pass afresh, the loglik-only ones included."""
+    def report(problem, theta, **wants):
+        return optimizers.lk.evaluate_report(*problem.data, theta, **wants)
+    monkeypatch.setattr(optimizers._Problem, "report", report)
+
+
+@pytest.mark.parametrize("name, seed, init", [
+    ("newton", 19, None), ("newton", 14, 1.0), ("mmsa", 19, None), ("coordinate", 19, None)])
+def test_reusing_passes_changes_no_output(name, seed, init, monkeypatch):
+    ds, spec, _, _ = make_instance(seed, n=80, P=2, K=3)
+    init_theta = None if init is None else np.full((2, 3), init)
+    fit, config = fit_by_name(name), MmsaConfig(tol=1e-8)
+    reused = fit(ds, spec, config, init_theta=init_theta)
+    no_reuse(monkeypatch)
+    fresh = fit(ds, spec, config, init_theta=init_theta)
+    assert np.array_equal(reused.theta, fresh.theta)
+    assert reused.trace == fresh.trace
+    assert (reused.loglik, reused.iterations, reused.reason) == \
+        (fresh.loglik, fresh.iterations, fresh.reason)
 
 
 class TestFittingData:
