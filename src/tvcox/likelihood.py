@@ -27,12 +27,14 @@ fixed-width chunks of columns.  Because the prefix lengths ``L`` ascend, a
 chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
 ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
 its risk sets; those entries are set to ``-inf`` before exponentiation.
-Each chunk holds at most ``_CHUNK_ENTRIES`` linear predictors, so memory is
-linear in the stratum size and no n_j x m array is ever formed; past
-``_FLOOR_ROWS`` subjects a chunk keeps the width it has at that size, so
-large strata are not walked in thin slices.  A per-column max shift keeps
-the exponentials stable.  Flat coefficient vectors follow the row-major
-convention theta = vec(Theta): block p occupies theta[p*K:(p+1)*K].
+A chunk spans at most 32 event times, whatever the stratum size, so it
+holds at most 32 n_j linear predictors: memory is linear in the stratum
+size and no n_j x m array is ever formed.  A wider chunk would not pay on
+a small stratum: its band grows with the width, and every entry of the
+band is exponentiated only for the mask to discard it.  A per-column max
+shift keeps the exponentials stable.  Flat coefficient vectors follow the
+row-major convention theta = vec(Theta): block p occupies
+theta[p*K:(p+1)*K].
 
 The full Hessian is
 
@@ -80,8 +82,9 @@ __all__ = [
 ]
 
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
-_CHUNK_ENTRIES = 1 << 18   # linear predictors per chunk: 2 MiB of float64
-_FLOOR_ROWS = 1 << 13      # larger strata keep the chunk width of this size: 32 event times
+_CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
+_CHUNK_ENTRIES = 1 << 18   # entries per GEMM row chunk: 2 MiB of float64
+_FLOOR_ROWS = 1 << 13      # strata under this size also cap a chunk at _CHUNK_ENTRIES
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -150,8 +153,17 @@ def _group_basis(s, basis_values):
 
 
 def _chunk_width(n: int) -> int:
-    """Event times per chunk of the risk-set pass over a stratum of n subjects."""
-    return max(1, _CHUNK_ENTRIES // min(n, _FLOOR_ROWS))
+    """Event times per chunk of the risk-set pass over a stratum of n subjects.
+
+    At most ``_CHUNK_TIMES`` (32), so a chunk holds at most 32 n linear
+    predictors.  Wider chunks lose on small strata: a chunk's band grows
+    with its width, and the pass exponentiates it only for the mask to
+    discard it.  Under ``_FLOOR_ROWS`` subjects a chunk also holds at most
+    ``_CHUNK_ENTRIES`` predictors; at the default constants that never
+    binds, and shrinking the constants splits small test instances into
+    many chunks.
+    """
+    return min(_CHUNK_TIMES, max(1, _CHUNK_ENTRIES // min(n, _FLOOR_ROWS)))
 
 
 def _risk_set_pass(s, M, mats=(), spread=None):
@@ -229,8 +241,9 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
     Counted at the largest stratum: the vector of ones, a chunk of linear
-    predictors and its band mask, Hf and one Hf-sized addition to it, and
-    for each form its own arrays (see the comments below).
+    predictors and its band mask (``_chunk_width(n)`` event times, at most
+    32, so at most 32 n entries each), Hf and one Hf-sized addition to it,
+    and for each form its own arrays (see the comments below).
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)

@@ -449,7 +449,8 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
 
 def _coordinate_step(problem: _Problem, config: MmsaConfig):
     def step(theta, m, ll_prev):
-        rep = problem.report(theta)
+        # a blocks pass, which the first coordinate's report then reuses
+        rep = problem.report(theta, want_blocks=True)
         ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
 

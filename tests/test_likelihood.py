@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -502,8 +503,41 @@ def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
 
 def test_default_chunk_width_is_floored_past_8192_subjects():
     width = likelihood_module._chunk_width
-    assert [width(n) for n in (1000, 8000, 8192)] == [262, 32, 32]
+    assert [width(n) for n in (400, 1000, 8000, 8192)] == [32, 32, 32, 32]
     assert width(30000) == width(10 ** 6) == 32
+
+
+def _predictors_computed(s, M):
+    """Event times and rows of every chunk the risk-set pass over s computes."""
+    reads = {"M": [], "Xs": []}
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            reads[self.name].append(key)
+            return np.asarray(self)[key]
+
+    M, Xs = M.view(Recorded), s.Xs.view(Recorded)
+    M.name, Xs.name = "M", "Xs"
+    spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L, Xs=Xs)
+    likelihood_module._risk_set_pass(spy, M)
+    times = [k.stop - k.start for k in reads["M"]]
+    rows = [k.stop for k in reads["Xs"]]
+    assert len(times) == len(rows) and sum(times) == s.dt.size
+    return times, rows
+
+
+@pytest.mark.parametrize("n", [400, 800, 2000, 8000])
+def test_chunks_compute_few_predictors_outside_the_risk_sets(n):
+    # a chunk of event times [a, b) computes (b - a) L[b-1] linear
+    # predictors, where its risk sets hold sum L[a:b]; the band between is
+    # exponentiated and then masked out, so wide chunks on small strata waste it
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=2, seed=11))
+    (s,) = tv.build_risk_index(ds).strata
+    M = np.random.default_rng(20).normal(0, 0.3, (s.dt.size, 2))
+    times, rows = _predictors_computed(s, M)
+    assert max(times) <= 32
+    computed = sum(t * r for t, r in zip(times, rows))
+    assert computed <= 1.15 * s.L.sum()
 
 
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])

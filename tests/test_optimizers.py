@@ -224,6 +224,23 @@ class TestBaselines:
         np.testing.assert_array_equal(coord.theta, newton.theta)
         assert coord.reason == newton.reason
 
+    def test_coordinate_cycle_shares_its_first_pass(self, monkeypatch):
+        # each cycle starts with a blocks pass, which its first coordinate
+        # reuses: no pass computes the gradient alone
+        ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+        counts = count_passes(monkeypatch)
+        passes = []
+        counted = optimizers.lk.evaluate_report
+
+        def recorded(*args, **wants):
+            passes.append(wants)
+            return counted(*args, **wants)
+        monkeypatch.setattr(optimizers.lk, "evaluate_report", recorded)
+        fit = tv.coordinate_ascent_fit(ds, spec, MmsaConfig(tol=1e-8))
+        assert fit.converged and fit.iterations >= 10
+        assert len(passes) == counts["loglik"] + counts["blocks"]
+        assert counts["blocks"] <= fit.iterations * 6 + 1 and counts["full"] == 0
+
     def test_coordinate_agrees_with_newton_on_multiblock(self):
         ds, spec, _, _ = make_instance(14, n=80, P=2, K=3)
         cfg = MmsaConfig(tol=1e-9)
