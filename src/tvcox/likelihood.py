@@ -84,7 +84,6 @@ __all__ = [
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
 _CHUNK_ENTRIES = 1 << 18   # entries per GEMM row chunk: 2 MiB of float64
-_FLOOR_ROWS = 1 << 13      # strata under this size also cap a chunk at _CHUNK_ENTRIES
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -152,20 +151,6 @@ def _group_basis(s, basis_values):
     return basis_values[s.event_rows[s.event_starts[:-1]]]
 
 
-def _chunk_width(n: int) -> int:
-    """Event times per chunk of the risk-set pass over a stratum of n subjects.
-
-    At most ``_CHUNK_TIMES`` (32), so a chunk holds at most 32 n linear
-    predictors.  Wider chunks lose on small strata: a chunk's band grows
-    with its width, and the pass exponentiates it only for the mask to
-    discard it.  Under ``_FLOOR_ROWS`` subjects a chunk also holds at most
-    ``_CHUNK_ENTRIES`` predictors; at the default constants that never
-    binds, and shrinking the constants splits small test instances into
-    many chunks.
-    """
-    return min(_CHUNK_TIMES, max(1, _CHUNK_ENTRIES // min(n, _FLOOR_ROWS)))
-
-
 def _risk_set_pass(s, M, mats=(), spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
@@ -184,14 +169,13 @@ def _risk_set_pass(s, M, mats=(), spread=None):
     risk set by the risk weights, ``C += E (W / S)``.
     """
     n, m = s.order.size, s.dt.size
-    width = _chunk_width(n)
     ones = np.ones(n)
     A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
     lse = np.empty(m)
     means = np.empty((m, 0 if A is None else A.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, m, width):
-            b = min(a + width, m)
+        for a in range(0, m, _CHUNK_TIMES):
+            b = min(a + _CHUNK_TIMES, m)
             rows, lo = s.L[b - 1], s.L[a]
             eta = M[a:b] @ s.Xs[:rows].T  # one event time per row
             band = eta[:, lo:rows]
@@ -241,8 +225,8 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
     Counted at the largest stratum: the vector of ones, a chunk of linear
-    predictors and its band mask (``_chunk_width(n)`` event times, at most
-    32, so at most 32 n entries each), Hf and one Hf-sized addition to it,
+    predictors and its band mask (at most ``_CHUNK_TIMES`` event times, so
+    at most 32 n entries each), Hf and one Hf-sized addition to it,
     and for each form its own arrays (see the comments below).
     """
     n = max(s.order.size for s in index.strata)
@@ -258,12 +242,12 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
         # the pair products, then the moment matrix [Xs, products] holding a
         # copy of them; its risk-set means and the pairs' weighted form
         entries = n * (P + 2 * pairs) + m * (P + 2 * pairs)
-    return 8 * (entries + n + 2 * min(_chunk_width(n), m) * n + 2 * (P * K) ** 2)
+    return 8 * (entries + n + 2 * min(_CHUNK_TIMES, m) * n + 2 * (P * K) ** 2)
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
                     theta, *, want_gradient: bool = True, want_blocks: bool = False,
-                    want_full: bool = False, guard: int = FULL_HESSIAN_GUARD) -> LikelihoodReport:
+                    want_full: bool = False) -> LikelihoodReport:
     """Evaluate the likelihood and any of its derivatives in one pass.
 
     The log likelihood is always evaluated, and is identical whichever
@@ -282,8 +266,9 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     NumericOverflowError
         If a linear predictor is non-finite (diverged coefficients).
     CapacityError
-        If the full Hessian is requested and P*K exceeds ``guard``, or its
-        pass would need more bytes than the machine's physical memory.
+        If the full Hessian is requested and P*K exceeds
+        ``FULL_HESSIAN_GUARD``, or its pass would need more bytes than the
+        machine's physical memory.
     """
     P = dataset.P
     K = basis.values.shape[1]
@@ -292,8 +277,8 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         raise NumericOverflowError("non-finite coefficients")
     separable = want_full and P > K  # fewer pass columns: K(K+1)/2 < P(P+1)/2
     if want_full:
-        if P * K > guard:
-            raise CapacityError(f"full Hessian size {P * K} exceeds guard {guard}")
+        if P * K > FULL_HESSIAN_GUARD:
+            raise CapacityError(f"full Hessian size {P * K} exceeds guard {FULL_HESSIAN_GUARD}")
         need, have = _full_pass_bytes(index, P, K, separable), _physical_memory()
         if have is not None and need > have:
             raise CapacityError(f"full Hessian pass needs about {need / 2**30:.1f} GiB, "

@@ -19,20 +19,25 @@ internally by default and record the transform, and the data they fitted,
 on the result.
 
 Each ``*_fit`` is a small step function run by one private loop,
-``_drive``, which owns the stopping, the trace and the ``FitResult``.  Every
-iteration is checked in one order: the method's own guard (MMSA's ascent
-check), then the score test (none in stochastic MMSA), then the relative
-change of the full-data log likelihood.  That test compares each
-full-data log likelihood with the previous one and allows tol per update
-made between them, so a step that makes no update cannot pass it by
-leaving theta where it was.
-Stochastic MMSA draws its updates from subsamples and makes its
-full-data loglik-only pass only at the first iteration and after every
-window of 20 updates; a draw with no events, or with every block score
-below tol, makes no update and brings the next check no closer.  The
-reported log likelihood is read off the latest full-data pass when it
-was made at the returned theta, of whatever kind, since every pass kind
-reports the same value; otherwise a loglik-only pass is made there.
+``_drive``, which holds all of a fit's loop state: the latest full-data
+log likelihood, the updates made since it, the trace and the
+``FitResult``.  A step function computes one iteration's criterion and
+update; the only state one keeps between iterations is Newton's choice of
+pass for its next unit step.  Every iteration is checked in one order: the
+method's own guard (MMSA's ascent check), then the score test (none in
+stochastic MMSA), then the relative change of the full-data log
+likelihood.  That test compares each full-data log likelihood with the
+previous one and allows tol per update made between them, so a step that
+makes no update cannot pass it by leaving theta where it was.
+The loop reads the full-data log likelihood itself.  For the full-data
+methods it does so on every iteration, off the pass the step just made.
+Stochastic MMSA draws its updates from subsamples, and the loop reads it
+only at the first iteration and after every window of 20 updates, by a
+loglik-only pass; a draw with no events, or with every block score below
+tol, makes no update and brings the next check no closer.  The reported
+log likelihood is read off the latest full-data pass when it was made at
+the returned theta, of whatever kind, since every pass kind reports the
+same value; otherwise a loglik-only pass is made there.
 """
 
 from __future__ import annotations
@@ -127,10 +132,11 @@ class FitResult:
     ``score_residuals(*fit.fitting_data, fit.theta)``; the result keeps
     these arrays alive.  ``trace`` holds one entry per update: (selected
     block or -1 when the optimizer has no block structure, stopping-criterion
-    value, log likelihood at the latest full-data check).  That check is made
-    right before each update, except in stochastic MMSA (at the first
-    iteration and after every 20 updates).  ``converged`` is False only for
-    the max-iterations reason.
+    value, full-data log likelihood at the fitting loop's latest check).  For
+    the full-data methods that check is made at the theta the update starts
+    from; stochastic MMSA makes it at the first iteration and after every 20
+    updates.  ``iterations`` is the number of updates, ``len(trace)``.
+    ``converged`` is False only for the max-iterations reason.
     """
 
     theta: np.ndarray
@@ -259,33 +265,37 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
            config: MmsaConfig | None, init_theta, do_standardize: bool) -> FitResult:
     """Run one fit with the step function that ``make_step(problem, config)`` returns.
 
-    ``step(theta, m, ll_prev)`` evaluates iteration m, runs the method's
-    guard and returns ``(loglik, score, move)``: the full-data log
-    likelihood and the stopping criterion, each None when not evaluated,
-    and ``move(theta)``, which updates and returns ``(theta, entry)``,
-    with ``entry`` the update's trace entry, or returns None when there is
-    no update.  The relative change of a log likelihood from the previous
-    one stops the fit below tol times the updates made between them (at
-    least one).
+    ``make_step`` returns ``(step, check_every)``.  ``step(theta, m, ll_prev)``
+    evaluates iteration m, runs the method's guard and returns
+    ``(score, move)``: the stopping criterion, or None when the method has
+    none, and ``move(theta)``, which updates and returns
+    ``(theta, block, criterion)``, or returns None when there is no update.
+    After the score test the loop reads the full-data log likelihood,
+    ``problem.loglik(theta)``, at the first iteration and whenever
+    ``check_every`` updates (0: every iteration) have been made since the
+    previous read; for full-data methods that reads the pass the step just
+    made.  The relative change of a read from the previous one stops the
+    fit below tol times the updates made between them (at least one).  Each
+    update appends ``(block, criterion, ll_prev)`` to the trace.
     """
     config = config or MmsaConfig()
     t0 = time.perf_counter()
     problem = _Problem(dataset, spec, do_standardize)
     P, K = dataset.P, spec.K
     theta = np.zeros((P, K)) if init_theta is None else lk.as_matrix(init_theta, P, K).copy()
-    step = make_step(problem, config)
+    step, check_every = make_step(problem, config)
     trace = []
-    updates = 0
     since = 0  # updates since ll_prev
     ll_prev = None
     reason = "max-iterations"
 
     for m in range(1, config.max_iterations + 1):
-        ll, score, move = step(theta, m, ll_prev)
+        score, move = step(theta, m, ll_prev)
         if score is not None and score < config.tol:
             reason = "score-threshold"
             break
-        if ll is not None:
+        if ll_prev is None or since >= check_every:
+            ll = problem.loglik(theta)
             tol = config.tol * max(1, since)
             if ll_prev is not None and abs(ll - ll_prev) / (1.0 + abs(ll_prev)) < tol:
                 reason = "loglik-relative-change"
@@ -294,13 +304,12 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
         moved = move(theta)
         if moved is None:
             continue
-        theta, entry = moved
-        updates += 1
+        theta, block, criterion = moved
         since += 1
-        trace.append(entry)
+        trace.append((block, criterion, ll_prev))
 
     return FitResult(theta=theta, spec=spec, transform=problem.transform,
-                     loglik=float(problem.loglik(theta)), iterations=updates,
+                     loglik=float(problem.loglik(theta)), iterations=len(trace),
                      converged=reason != "max-iterations", reason=reason, trace=trace,
                      optimizer=optimizer, config=config,
                      wall_time_sec=time.perf_counter() - t0, fitting_data=problem.data)
@@ -327,24 +336,16 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
 
         def move(theta):
             theta[p_star] += nu * direction
-            return theta, (p_star, c_star, ll)
-        return ll, c_star, move
-
-    since = _CHECK_WINDOW  # updates since the latest full-data check: check first
-    checked = None         # its log likelihood
+            return theta, p_star, c_star
+        return c_star, move
 
     def stochastic(theta, m, ll_prev):
         # the draw only picks the update; the stopping test needs a full-data
-        # pass, which costs many subsample passes, so it is made once per window
-        nonlocal since, checked
-        ll = None
-        if since >= _CHECK_WINDOW:
-            ll = checked = problem.loglik(theta)
-            since = 0
+        # pass, which costs many subsample passes, so the loop makes it once
+        # per window of updates
         drawn = _subsample(problem.data, config, m)
 
         def move(theta):
-            nonlocal since
             if drawn is None:
                 return None  # eventless draw: no usable score this iteration
             rep = lk.evaluate_report(*drawn, theta, want_blocks=True)
@@ -352,11 +353,10 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
             if c_star < config.tol:
                 return None  # no ascent direction on this draw
             theta[p_star] += nu * direction
-            since += 1
-            return theta, (p_star, c_star, checked)
-        return ll, None, move
+            return theta, p_star, c_star
+        return None, move
 
-    return stochastic if config.subsample_fraction < 1.0 else full
+    return (stochastic, _CHECK_WINDOW) if config.subsample_fraction < 1.0 else (full, 0)
 
 
 def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
@@ -369,10 +369,11 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     Newton direction.  Stops when max_p c_p < tol, when the relative
     change of the full-data log likelihood falls below tol per update, or
     at max_iterations.  With subsampling, a draw whose max_p c_p is below
-    tol makes no update, and the full-data log likelihood is evaluated
-    only at the first iteration and after every 20 updates: the fit stops
-    when the relative change since the previous such check is below
-    20 * tol, and returns the checked theta.
+    tol makes no update and has no score test, and the fitting loop reads
+    the full-data log likelihood only at the first iteration and after
+    every 20 updates: the fit stops when the relative change since the
+    previous such read is below 20 * tol, and returns the theta it was
+    read at.  Only full-data fits guard the ascent property.
 
     Raises
     ------
@@ -423,9 +424,9 @@ def _newton_step(problem: _Problem, config: MmsaConfig):
             full_unit = moved is not None and moved[2] == 1.0
             if moved is None:
                 return None  # relative-change stop fires next iteration
-            return moved[0], (-1, float(gnorm), float(ll))
-        return ll, gnorm, move
-    return step
+            return moved[0], -1, float(gnorm)
+        return gnorm, move
+    return step, 0
 
 
 def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
@@ -474,9 +475,9 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
                     moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur)
                     if moved is not None:
                         theta, ll_cur, _ = moved
-            return theta, (-1, float(gnorm), float(ll))
-        return ll, gnorm, move
-    return step
+            return theta, -1, float(gnorm)
+        return gnorm, move
+    return step, 0
 
 
 def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,

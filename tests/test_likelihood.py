@@ -185,10 +185,11 @@ def test_ties_share_denominator(d0):
     assert rep.loglik == pytest.approx(-2 * np.log(3), abs=1e-12)
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     ds, spec, basis, index = make_instance(81, n=30, P=2, K=3)
+    monkeypatch.setattr(likelihood_module, "FULL_HESSIAN_GUARD", 5)
     with pytest.raises(CapacityError):
-        evaluate_report(ds, index, basis, np.zeros((2, 3)), want_full=True, guard=5)
+        evaluate_report(ds, index, basis, np.zeros((2, 3)), want_full=True)
 
 
 def test_overflow_names_a_subject():
@@ -267,14 +268,14 @@ def test_blocks_pass_equals_diagonal_of_full_pass(P, K):
 
 
 # The risk-set pass walks each stratum's distinct event times in chunks of
-# at most _CHUNK_ENTRIES linear predictors.  Shrinking the constant makes
-# the small instances below split into many chunks: 1 entry gives one
-# event time per chunk, 60 entries a few event times per chunk.
-MULTI_CHUNK = (1, 60)
+# at most _CHUNK_TIMES.  Shrinking the constant makes the small instances
+# below split into many chunks: width 1 gives one event time per chunk,
+# width 3 a few event times per chunk, with a band of rows outside some of
+# each chunk's risk sets.
+MULTI_CHUNK = (1, 3)
 
 
-def _chunk_count(s, chunk):
-    width = max(1, chunk // s.order.size)
+def _chunk_count(s, width):
     return -(-s.dt.size // width)
 
 
@@ -285,18 +286,28 @@ def _all_outputs(ds, index, basis, theta):
             rep.full_hessian, res.psi]
 
 
-@pytest.mark.parametrize("chunk", MULTI_CHUNK)
-def test_multi_chunk_pass_matches_oracles(chunk, monkeypatch):
-    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
-    ds, spec, basis, index = make_instance(111, n=40, P=2, K=3)
-    assert min(_chunk_count(s, chunk) for s in index.strata) >= 3
-    theta = np.random.default_rng(12).normal(0, 0.3, (ds.P, spec.K))
-    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
-
+def _assert_matches_brute_force(ds, index, basis, theta, rep):
+    """The loglik, gradient and score residuals against the brute-force oracles."""
     assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta),
                                        rel=1e-12, abs=1e-12)
     want = fd_gradient(lambda v: brute_loglik(ds, basis.values, v), theta)
     np.testing.assert_allclose(rep.gradient, want, rtol=2e-7, atol=2e-7)
+    res = tv.score_residuals(ds, index, basis, theta)
+    order, psi = brute_score_residuals(ds, basis.values, theta)
+    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
+    for i, r in enumerate(order):
+        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
+
+
+@pytest.mark.parametrize("width", MULTI_CHUNK)
+def test_multi_chunk_pass_matches_oracles(width, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
+    ds, spec, basis, index = make_instance(111, n=40, P=2, K=3)
+    assert min(_chunk_count(s, width) for s in index.strata) >= 3
+    theta = np.random.default_rng(12).normal(0, 0.3, (ds.P, spec.K))
+    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
+
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
     H = fd_hessian(lambda v: evaluate_report(ds, index, basis, v).gradient, theta)
     np.testing.assert_allclose(rep.full_hessian, H, rtol=1e-6, atol=1e-6)
     K = spec.K
@@ -305,31 +316,25 @@ def test_multi_chunk_pass_matches_oracles(chunk, monkeypatch):
                                    H[p * K:(p + 1) * K, p * K:(p + 1) * K],
                                    rtol=1e-6, atol=1e-6)
 
-    res = tv.score_residuals(ds, index, basis, theta)
-    order, psi = brute_score_residuals(ds, basis.values, theta)
-    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
-    for i, r in enumerate(order):
-        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
 
-
-@pytest.mark.parametrize("chunk", MULTI_CHUNK)
-def test_multi_chunk_equals_single_chunk(chunk, monkeypatch):
+@pytest.mark.parametrize("width", MULTI_CHUNK)
+def test_multi_chunk_equals_single_chunk(width, monkeypatch):
     ds, spec, basis, index = make_instance(121, n=90, P=3, K=4, J=2)
     theta = np.random.default_rng(13).normal(0, 0.3, (ds.P, spec.K))
-    assert all(_chunk_count(s, likelihood_module._CHUNK_ENTRIES) == 1
+    assert all(_chunk_count(s, likelihood_module._CHUNK_TIMES) == 1
                for s in index.strata)
-    assert min(_chunk_count(s, chunk) for s in index.strata) >= 3
+    assert min(_chunk_count(s, width) for s in index.strata) >= 3
     single = _all_outputs(ds, index, basis, theta)
-    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
     many = _all_outputs(ds, index, basis, theta)
     for want, got in zip(single, many):
         scale = max(np.abs(want).max(), 1e-300)
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("chunk", MULTI_CHUNK)
-def test_multi_chunk_tied_events_share_one_denominator(chunk, monkeypatch):
-    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+@pytest.mark.parametrize("width", MULTI_CHUNK)
+def test_multi_chunk_tied_events_share_one_denominator(width, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
     ds, spec, basis, index = make_instance(131, n=60, P=2, K=3)
     assert any(s.d.max() > 1 for s in index.strata)  # the instance has ties
     theta = np.random.default_rng(14).normal(0, 0.4, (ds.P, spec.K))
@@ -350,7 +355,7 @@ def test_multi_chunk_tied_events_share_one_denominator(chunk, monkeypatch):
 
 
 def test_overflow_in_a_later_chunk_names_the_subject(monkeypatch):
-    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", 1)
     ds, spec, basis, _ = make_instance(141, n=30, P=2, K=3, J=1)
     # the earliest event is at risk only at the earliest event time, which
     # is the last column of the pass: every earlier chunk stays finite
@@ -440,18 +445,22 @@ def test_separable_hessian_matches_finite_differences(P, K, monkeypatch):
     assert len(calls) == 2  # one GEMM pass per stratum: the separable form ran
 
 
+# both constants shrunk: a pass of many event-time chunks, and second
+# moments in many row chunks of at most `chunk` entries (the test id)
 @pytest.mark.parametrize("P,K", SEPARABLE)
-@pytest.mark.parametrize("chunk", MULTI_CHUNK)
-def test_separable_hessian_in_many_chunks(P, K, chunk, monkeypatch):
+@pytest.mark.parametrize("chunk, width", [(1, 1), (60, 3)], ids=["1", "60"])
+def test_separable_hessian_in_many_chunks(P, K, chunk, width, monkeypatch):
     monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
     ds, spec, basis, index = _separable_instance(171, P, K)
     for s in index.strata:
-        assert -(-s.dt.size // likelihood_module._chunk_width(s.order.size)) >= 3
+        assert _chunk_count(s, width) >= 3
         assert _row_chunks(s.order.size, P, K, chunk) >= 3
     calls = _count_separable_strata(monkeypatch)
     theta = np.random.default_rng(16).normal(0, 0.3, (P, K))
     rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
     assert len(calls) == len(index.strata)
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
     monkeypatch.undo()
     whole = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
     np.testing.assert_allclose(rep.full_hessian, whole, rtol=1e-12,
@@ -475,36 +484,6 @@ def test_separable_and_product_forms_agree(monkeypatch):
     np.testing.assert_allclose(separable[:6, :6], product, rtol=1e-12,
                                atol=1e-12 * np.abs(product).max())
     assert not separable[6:].any() and not separable[:, 6:].any()
-
-
-@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
-def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
-    # the floor keeps a chunk no narrower than at _FLOOR_ROWS subjects;
-    # shrunk here so that it binds on a small stratum
-    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", 40)
-    monkeypatch.setattr(likelihood_module, "_FLOOR_ROWS", 8)
-    ds, spec, basis, index = make_instance(191, n=40, P=P, K=K, J=1)
-    (s,) = index.strata
-    width = likelihood_module._chunk_width(s.order.size)
-    assert width == 5 > max(1, 40 // s.order.size)
-    assert -(-s.dt.size // width) >= 3
-    theta = np.random.default_rng(18).normal(0, 0.3, (P, K))
-    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
-    assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta),
-                                       rel=1e-12, abs=1e-12)
-    want = fd_gradient(lambda v: brute_loglik(ds, basis.values, v), theta)
-    np.testing.assert_allclose(rep.gradient, want, rtol=2e-7, atol=2e-7)
-    res = tv.score_residuals(ds, index, basis, theta)
-    order, psi = brute_score_residuals(ds, basis.values, theta)
-    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
-    for i, r in enumerate(order):
-        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
-
-
-def test_default_chunk_width_is_floored_past_8192_subjects():
-    width = likelihood_module._chunk_width
-    assert [width(n) for n in (400, 1000, 8000, 8192)] == [32, 32, 32, 32]
-    assert width(30000) == width(10 ** 6) == 32
 
 
 def _predictors_computed(s, M):

@@ -399,7 +399,7 @@ class TestStochasticCheckWindow:
         ds, spec = eventless_instance()
         fit = tv.mmsa_fit(ds, spec, MmsaConfig(subsample_fraction=0.06,
                                                max_iterations=30, seed=1))
-        assert fit.iterations >= 1
+        assert fit.iterations >= 1 and fit.iterations == len(fit.trace)
         assert not (fit.converged and fit.iterations == 0)
 
     @pytest.mark.parametrize("config", STOCHASTIC, ids=["converged", "max-iterations"])
@@ -430,12 +430,29 @@ class TestStochasticCheckWindow:
         np.testing.assert_array_equal(checks[0][0], np.zeros((2, 3)))
         for theta, ll in checks:
             assert ll == pytest.approx(full_loglik(work, spec, theta), abs=1e-12)
+        assert fit.iterations == len(fit.trace)
         for i, (_, _, ll) in enumerate(fit.trace):
             assert ll == checks[i // self.WINDOW][1]
         n_checks = math.ceil(len(fit.trace) / self.WINDOW)
         assert len({ll for _, _, ll in fit.trace}) <= n_checks
         if fit.converged:
             np.testing.assert_array_equal(fit.theta, checks[n_checks][0])
+
+
+# full-data MMSA moves on make_instance(19, n=80) for hundreds of updates;
+# its first 25 are enough to compare
+@pytest.mark.parametrize("name, cap", [("newton", None), ("coordinate", None), ("mmsa", 25)])
+def test_trace_loglik_is_at_the_start_of_each_update(name, cap):
+    # update i starts from the theta that a fit capped at i updates returns
+    ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+    fit, config = fit_by_name(name), MmsaConfig(tol=1e-8, max_iterations=cap or 20000)
+    whole = fit(ds, spec, config)
+    assert whole.iterations == len(whole.trace) >= 3
+    work, _ = tv.standardize(ds)
+    for i, (_, _, ll) in enumerate(whole.trace):
+        start = (np.zeros((2, 3)) if i == 0 else
+                 fit(ds, spec, dataclasses.replace(config, max_iterations=i)).theta)
+        assert ll == full_loglik(work, spec, start)
 
 
 def record_steps(monkeypatch):
