@@ -271,8 +271,10 @@ def test_blocks_pass_equals_diagonal_of_full_pass(P, K):
 # at most _CHUNK_TIMES.  Shrinking the constant makes the small instances
 # below split into many chunks: width 1 gives one event time per chunk,
 # width 3 a few event times per chunk, with a band of rows outside some of
-# each chunk's risk sets.
-MULTI_CHUNK = (1, 3)
+# each chunk's risk sets.  The ids name the entry budgets (1 and 60 linear
+# predictors) that gave these widths on the instances' strata of about 20
+# subjects, when the width was derived from _CHUNK_ENTRIES.
+MULTI_CHUNK = [pytest.param(1, id="1"), pytest.param(3, id="60")]
 
 
 def _chunk_count(s, width):
@@ -484,6 +486,23 @@ def test_separable_and_product_forms_agree(monkeypatch):
     np.testing.assert_allclose(separable[:6, :6], product, rtol=1e-12,
                                atol=1e-12 * np.abs(product).max())
     assert not separable[6:].any() and not separable[:, 6:].any()
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
+def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
+    # the chunk width is _CHUNK_TIMES at every stratum size: an entry budget
+    # that once narrowed it to max(1, 40 // 40) = 1 here no longer does
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", 40)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", 5)
+    ds, spec, basis, index = make_instance(191, n=40, P=P, K=K, J=1)
+    (s,) = index.strata
+    assert s.order.size == 40 and _chunk_count(s, 5) >= 3
+    M = np.random.default_rng(21).normal(0, 0.3, (s.dt.size, P))
+    times, _ = _predictors_computed(s, M)
+    assert times[:-1] == [5] * (len(times) - 1) and 1 <= times[-1] <= 5
+    theta = np.random.default_rng(18).normal(0, 0.3, (P, K))
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
 
 
 def _predictors_computed(s, M):
