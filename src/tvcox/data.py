@@ -231,22 +231,74 @@ def load_csv(path) -> SurvivalDataset:
     and the column name; status outside {0, 1} raises DomainError.  Blank
     lines are skipped, but still counted in the numbers of the rows after
     them.
+
+    The rows after the header are parsed from the open file in one
+    ``np.loadtxt`` call and then checked as arrays: every value finite,
+    times >= 0, status 0 or 1.  A file that the call or a check refuses is
+    read again by the per-cell reader ``_load_csv_cells``, and what that
+    returns or raises stands: it alone decides which files are accepted
+    (``float()`` takes ``1_000``, ``np.loadtxt`` does not) and words every
+    error.  A file both accept gives the same arrays from either.
+    """
+    with open(path, newline="") as fh:
+        header = _read_header(csv.reader(fh))
+        dataset = _parse_rows(fh, header)
+    return _load_csv_cells(path) if dataset is None else dataset
+
+
+def _read_header(reader) -> list:
+    """The stripped header row, after any leading blank or '#' lines."""
+    # leading '#' lines carry provenance comments from the CLI writers
+    for rec in reader:
+        if rec and not rec[0].lstrip().startswith("#"):
+            header = [h.strip() for h in rec]
+            break
+    else:
+        raise SchemaError("empty file: no header row")
+    for col in _MANDATORY:
+        if col not in header:
+            raise SchemaError(f"missing mandatory column '{col}'")
+    return header
+
+
+def _parse_rows(fh, header) -> SurvivalDataset | None:
+    """The dataset in the rows left in ``fh``, parsed in one ``np.loadtxt`` call.
+
+    None if the call or a check on its arrays refuses them.
+    """
+    codes = {}  # stratum label -> code, in order of first appearance
+
+    def code(label):
+        return codes.setdefault(label.strip(), len(codes))
+    j_time, j_status, j_stratum = (header.index(name) for name in _MANDATORY)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                              converters={j_stratum: code})
+    except ValueError:
+        return None
+    if data.shape[0] == 0 or data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    time, status = data[:, j_time], data[:, j_status]
+    if (time < 0).any() or not ((status == 0) | (status == 1)).all():
+        return None
+    labels = sorted(codes)
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[[codes[lab] for lab in labels]] = np.arange(len(labels))
+    cov = [i for i, name in enumerate(header) if name not in _MANDATORY]
+    return SurvivalDataset(time, status, rank[data[:, j_stratum].astype(np.int64)],
+                           tuple(labels), data[:, cov], tuple(header[i] for i in cov))
+
+
+def _load_csv_cells(path) -> SurvivalDataset:
+    """``load_csv`` one cell at a time with ``float()``.
+
+    An error names the row and column of the first cell it refuses.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        # leading '#' lines carry provenance comments from the CLI writers
-        header = None
-        for rec in reader:
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            header = rec
-            break
-        if header is None:
-            raise SchemaError("empty file: no header row")
-        header = [h.strip() for h in header]
-        for col in _MANDATORY:
-            if col not in header:
-                raise SchemaError(f"missing mandatory column '{col}'")
+        header = _read_header(reader)
         pos = {name: header.index(name) for name in _MANDATORY}
         cov_cols = [(i, name) for i, name in enumerate(header) if name not in _MANDATORY]
         times, status, labels, rows = [], [], [], []

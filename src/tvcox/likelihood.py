@@ -28,13 +28,16 @@ chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
 ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
 its risk sets; those entries are set to ``-inf`` before exponentiation.
 A chunk spans at most 32 event times, whatever the stratum size, so it
-holds at most 32 n_j linear predictors: memory is linear in the stratum
-size and no n_j x m array is ever formed.  A wider chunk would not pay on
-a small stratum: its band grows with the width, and every entry of the
-band is exponentiated only for the mask to discard it.  A per-column max
-shift keeps the exponentials stable.  Flat coefficient vectors follow the
-row-major convention theta = vec(Theta): block p occupies
-theta[p*K:(p+1)*K].
+holds at most 32 n_j linear predictors, and every chunk of a pass writes
+them into the same buffer: memory is linear in the stratum size and no
+n_j x m array is ever formed.  A wider chunk would not pay on a small
+stratum: its band grows with the width, and every entry of the band is
+exponentiated only for the mask to discard it.  A per-column max shift
+keeps the exponentials stable.  The predictors are formed on the K side:
+with ``U = Xs Theta`` (n_j x K), made once per stratum, a chunk's
+predictors are ``B_g U'``, whose inner dimension is K, not P.  Flat
+coefficient vectors follow the row-major convention theta = vec(Theta):
+block p occupies theta[p*K:(p+1)*K].
 
 The full Hessian is
 
@@ -52,9 +55,14 @@ which uses
     sum_g d_g B_g B_g' (x) sum_i w_gi x_i x_i'  =  sum_i (x_i x_i') (x) C_i,
     C_i = sum_g d_g w_gi B_g B_g',
 
-so the pass spreads the K(K+1)/2 entries of each d_g B_g B_g' over its
+so the pass spreads the entries k <= l of each d_g B_g B_g' over its
 risk set instead, and the second moments come from one row-chunked GEMM
 ``(Xs (x) C)' Xs``; the mean term is a second GEMM over the event times.
+B-splines have local support, so B_k B_l is zero at every event time for
+basis functions far enough apart (a cubic basis: four or more).  Only the
+pairs whose functions are both non-zero at some event time are spread;
+the others' Hessian entries are sums of exact zeros, and are read off a
+zero slot.
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 """
@@ -146,16 +154,24 @@ class ScoreResiduals:
     _V_inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _group_basis(s, basis_values):
+def _factors(s, basis_values, Theta):
+    """The stratum's event-time basis rows Bg (m x K) and U = Xs Theta (n x K).
+
+    The linear predictors of the risk-set pass are ``Bg U'``, with inner
+    dimension K.  A non-finite U is left for the pass to report by subject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = s.Xs @ Theta
     # tied events share a time, hence identical basis rows; take the first
-    return basis_values[s.event_rows[s.event_starts[:-1]]]
+    return basis_values[s.event_rows[s.event_starts[:-1]]], U
 
 
-def _risk_set_pass(s, M, mats=(), spread=None):
+def _risk_set_pass(s, Bg, U, mats=(), spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
-    ``M`` (m x P) holds the basis-mixed coefficients of the stratum's m
-    distinct event times; ``mats`` are arrays with one row per subject in
+    ``Bg`` (m x K) holds the basis rows of the stratum's m distinct event
+    times and ``U`` (n x K) the products ``Xs Theta``, so the linear
+    predictors are ``Bg U'``; ``mats`` are arrays with one row per subject in
     ``s.order``.  Returns ``log S_g + shift_g`` for every event time g,
     where S_g sums the shifted exponentials over the risk set
     ``order[:L[g]]`` and shift_g is the largest linear predictor in it, and
@@ -166,18 +182,21 @@ def _risk_set_pass(s, M, mats=(), spread=None):
     side (no copy when there is one array, no product when there is none).
     ``spread``, if given, is a pair ``(W, C)`` of arrays with one row per
     event time and one row per subject: each row of W is spread over its
-    risk set by the risk weights, ``C += E (W / S)``.
+    risk set by the risk weights, ``C += E (W / S)``.  Every chunk's
+    predictors are written into one buffer, so the pass holds one chunk.
     """
     n, m = s.order.size, s.dt.size
     ones = np.ones(n)
     A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
     lse = np.empty(m)
     means = np.empty((m, 0 if A is None else A.shape[1]))
+    buf = np.empty(min(_CHUNK_TIMES, m) * n)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, m, _CHUNK_TIMES):
             b = min(a + _CHUNK_TIMES, m)
             rows, lo = s.L[b - 1], s.L[a]
-            eta = M[a:b] @ s.Xs[:rows].T  # one event time per row
+            # one event time per row
+            eta = np.matmul(Bg[a:b], U[:rows].T, out=buf[:(b - a) * rows].reshape(b - a, rows))
             band = eta[:, lo:rows]
             band[np.arange(lo, rows) >= s.L[a:b, None]] = -np.inf
             shift = eta.max(axis=1)
@@ -185,7 +204,7 @@ def _risk_set_pass(s, M, mats=(), spread=None):
             E = np.exp(eta, out=eta)  # masked entries exp(-inf) = 0
             S = E @ ones[:rows]
             if not (np.all(np.isfinite(S)) and np.all(np.isfinite(shift))):
-                raw = M[a:b] @ s.Xs[:rows].T
+                raw = Bg[a:b] @ U[:rows].T
                 bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=0))
                 row = s.order[bad[0]] if bad.size else s.order[0]
                 raise NumericOverflowError(
@@ -224,10 +243,13 @@ def _physical_memory() -> int | None:
 def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
-    Counted at the largest stratum: the vector of ones, a chunk of linear
-    predictors and its band mask (at most ``_CHUNK_TIMES`` event times, so
-    at most 32 n entries each), Hf and one Hf-sized addition to it,
-    and for each form its own arrays (see the comments below).
+    Counted at the largest stratum: the vector of ones and U (n x K), the
+    one buffer of linear predictors that every chunk reuses and its band
+    mask at a byte an entry (at most ``_CHUNK_TIMES`` event times, so at
+    most 32 n entries each), Hf and one Hf-sized addition to it, and for
+    each form its own arrays (see the comments below).  The separable form
+    is counted with all K(K+1)/2 basis pairs; it spreads only the pairs
+    that overlap at some event time, so its count is an upper bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
@@ -242,7 +264,8 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
         # the pair products, then the moment matrix [Xs, products] holding a
         # copy of them; its risk-set means and the pairs' weighted form
         entries = n * (P + 2 * pairs) + m * (P + 2 * pairs)
-    return 8 * (entries + n + 2 * min(_CHUNK_TIMES, m) * n + 2 * (P * K) ** 2)
+    chunk = min(_CHUNK_TIMES, m) * n
+    return 8 * (entries + n * (1 + K) + chunk + 2 * (P * K) ** 2) + chunk
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -293,12 +316,14 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     if pairs is not None:
         pair_blocks = np.zeros((pairs[0].size, K, K))
     if separable:
-        ku = np.triu_indices(K)
+        # the basis pairs k <= l that are both non-zero at some event time;
+        # every other pair's d_g B_g B_g' entry is zero at every event time
+        nz = basis.values[np.concatenate([s.event_rows for s in index.strata])] != 0
+        ku = np.nonzero(np.triu(nz.T @ nz))
         second = np.zeros((P * ku[0].size, P))
 
     for s in index.strata:
-        Bg = _group_basis(s, basis.values)
-        M = Bg @ Theta.T
+        Bg, U = _factors(s, basis.values, Theta)
         d = s.d
         mats = [s.Xs] if (G is not None or pairs is not None) else []
         if pairs is not None:
@@ -307,8 +332,8 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         if separable:
             C = np.zeros((s.order.size, ku[0].size))
             spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C)
-        lse, means = _risk_set_pass(s, M, mats, spread)
-        ll += float((s.SX * M).sum() - (d * lse).sum())
+        lse, means = _risk_set_pass(s, Bg, U, mats, spread)
+        ll += float((s.SX * (Bg @ Theta.T)).sum() - (d * lse).sum())
         if not mats:
             continue
         Zbar = means[0]
@@ -325,12 +350,13 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             Hf += ZB.T @ ZB
 
     if separable:
-        tk = np.empty((K, K), dtype=np.intp)
-        tk[ku] = tk[ku[::-1]] = np.arange(ku[0].size)
+        T = ku[0].size
+        tk = np.full((K, K), T, dtype=np.intp)  # a pair not spread reads the zero slot T
+        tk[ku] = tk[ku[::-1]] = np.arange(T)
         p = np.arange(P)
         # entry (p, k), (q, l) of the second moments is second[p*T + tk[k, l], q]
-        Hf -= second.reshape(P, -1, P)[p[:, None, None, None], tk[:, None, :], p[:, None]
-                                       ].reshape(P * K, P * K)
+        padded = np.pad(second.reshape(P, T, P), ((0, 0), (0, 1), (0, 0)))
+        Hf -= padded[p[:, None, None, None], tk[:, None, :], p[:, None]].reshape(P * K, P * K)
         Hf += Hf.T
         Hf *= 0.5
     elif want_full:
@@ -369,9 +395,8 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     chunks = []
     rows = []
     for s in index.strata:
-        Bg = _group_basis(s, basis.values)
-        M = Bg @ Theta.T
-        _, (Zbar,) = _risk_set_pass(s, M, [s.Xs])
+        Bg, U = _factors(s, basis.values, Theta)
+        _, (Zbar,) = _risk_set_pass(s, Bg, U, [s.Xs])
         dx = dataset.covariates[s.event_rows] - Zbar[s.event_group]
         psi = dx[:, :, None] * basis.values[s.event_rows][:, None, :]
         chunks.append(psi.reshape(s.event_rows.size, P * K))

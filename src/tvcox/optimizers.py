@@ -22,13 +22,14 @@ Each ``*_fit`` is a small step function run by one private loop,
 ``_drive``, which holds all of a fit's loop state: the latest full-data
 log likelihood, the updates made since it, the trace and the
 ``FitResult``.  A step function computes one iteration's criterion and
-update; the only state one keeps between iterations is Newton's choice of
-pass for its next unit step.  Every iteration is checked in one order: the
-method's own guard (MMSA's ascent check), then the score test (none in
-stochastic MMSA), then the relative change of the full-data log
-likelihood.  That test compares each full-data log likelihood with the
-previous one and allows tol per update made between them, so a step that
-makes no update cannot pass it by leaving theta where it was.
+update; the only state one keeps between iterations is the choice of
+pass for the next unit step (Newton and coordinate ascent).  Every
+iteration is checked in one order: the method's own guard (MMSA's ascent
+check), then the score test (none in stochastic MMSA), then the relative
+change of the full-data log likelihood.  That test compares each
+full-data log likelihood with the previous one and allows tol per update
+made between them, so a step that makes no update cannot pass it by
+leaving theta where it was.
 The loop reads the full-data log likelihood itself.  For the full-data
 methods it does so on every iteration, off the pass the step just made.
 Stochastic MMSA draws its updates from subsamples, and the loop reads it
@@ -386,18 +387,18 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     return _drive("mmsa", _mmsa_step, dataset, spec, config, init_theta, do_standardize)
 
 
-def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, full_unit=False):
+def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, unit_wants=None):
     """Armijo backtracking from unit step; returns (new_theta, new_ll, step) or None.
 
     Halved steps are evaluated by loglik-only passes, and so is the unit step
-    unless ``full_unit``: then it gets the full pass that Newton's next
-    iteration reuses when the step is accepted.
+    unless ``unit_wants`` names the pass it gets instead: the pass that the
+    method's next evaluation reuses when the step is accepted.
     """
     step = 1.0
     for _ in range(MAX_HALVINGS):
         cand = theta + step * direction
-        if full_unit and step == 1.0:
-            ll_new = problem.report(cand, want_full=True).loglik
+        if unit_wants and step == 1.0:
+            ll_new = problem.report(cand, **unit_wants).loglik
         else:
             ll_new = problem.loglik(cand)
         if ll_new >= ll0 + ARMIJO_C * step * g_dot_d:
@@ -409,7 +410,8 @@ def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, full_unit=Fals
 def _newton_step(problem: _Problem, config: MmsaConfig):
     # a full pass at the unit step is wasted when the step fails Armijo, so
     # it is made only while the previous iteration's unit step was accepted
-    full_unit = True
+    full = {"want_full": True}
+    unit_wants = full
 
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
@@ -417,11 +419,11 @@ def _newton_step(problem: _Problem, config: MmsaConfig):
         gnorm = np.abs(g).max()
 
         def move(theta):
-            nonlocal full_unit
+            nonlocal unit_wants
             flat_dir, _ = _ridged_solve(-rep.full_hessian, g, config.ridge, "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
-                               float(g @ flat_dir), ll, full_unit)
-            full_unit = moved is not None and moved[2] == 1.0
+                               float(g @ flat_dir), ll, unit_wants)
+            unit_wants = full if moved is not None and moved[2] == 1.0 else None
             if moved is None:
                 return None  # relative-change stop fires next iteration
             return moved[0], -1, float(gnorm)
@@ -449,6 +451,11 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
 
 
 def _coordinate_step(problem: _Problem, config: MmsaConfig):
+    # as in Newton: while the previous unit step was accepted, the unit step
+    # gets the blocks pass that the next coordinate reuses when it passes
+    blocks = {"want_blocks": True}
+    unit_wants = blocks
+
     def step(theta, m, ll_prev):
         # a blocks pass, which the first coordinate's report then reuses
         rep = problem.report(theta, want_blocks=True)
@@ -456,6 +463,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
         gnorm = np.abs(g).max()
 
         def move(theta):
+            nonlocal unit_wants
             P, K = theta.shape
             ll_cur = ll
             for p in range(P):
@@ -472,7 +480,9 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
                     d_pk = d1[0]
                     direction = np.zeros_like(theta)
                     direction[p, k] = d_pk
-                    moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur)
+                    moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur,
+                                       unit_wants)
+                    unit_wants = blocks if moved is not None and moved[2] == 1.0 else None
                     if moved is not None:
                         theta, ll_cur, _ = moved
             return theta, -1, float(gnorm)
@@ -487,7 +497,9 @@ def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
 
     Each coordinate takes a 1-D ridged Newton step with Armijo
     backtracking; stopping matches newton_fit per full cycle.  One trace
-    entry is recorded per cycle.
+    entry is recorded per cycle.  As in newton_fit, the unit step gets the
+    blocks pass that the next coordinate reuses when it is accepted, while
+    the previous unit step was accepted, and a loglik-only pass otherwise.
     """
     return _drive("coordinate", _coordinate_step, dataset, spec, config, init_theta,
                   do_standardize)

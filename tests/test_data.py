@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tvcox as tv
+import tvcox.data as data_module
 from tvcox import (
     DegenerateCovariateError,
     DomainError,
@@ -77,6 +78,78 @@ def test_load_csv_skips_blank_lines(tmp_path):
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(ParseError, match="row 1"):
         load_csv(small_csv(tmp_path, "time,status,stratum,x\n1,1,a\n"))
+
+
+# Accepted files: load_csv's one-call parse must give what the per-cell
+# reader gives.  `fast` says whether the one-call parse takes the file;
+# where it does not, load_csv returns the per-cell reader's result.
+ACCEPTED = {
+    "quoted comma": ('time,status,stratum,x\n1,1,"a,b",2\n2,1,c,3\n', True),
+    "doubled quotes": ('time,status,stratum,x\n1,1,"say ""hi""",2\n', True),
+    "crlf": ("time,status,stratum,x\r\n1,1,a,2\r\n2,1,b,3\r\n", True),
+    "blank lines": ("time,status,stratum,x\n\n1,1,a,2\n\n2,1,b,3\n\n", True),
+    "leading comments": ("# tool 0.1.0\n#config: {}\ntime,status,stratum,x\n1,1,a,2\n", True),
+    "spaces": ("time , status,stratum, x\n 1.5 , 1 , b ,  2 \n2,1, a,3\n", True),
+    "blank label": ("time,status,stratum,x\n1,1,,2\n2,1,a,3\n", True),
+    "underscore": ("time,status,stratum,x\n1,1,a,1_000\n", False),
+    "no covariates": ("time,status,stratum\n1,1,a\n2,1,b\n", True),
+    "one row": ("time,status,stratum,x,y\n1,1,a,2,3\n", True),
+    "duplicate names": ("time,status,stratum,x,x\n1,1,a,2,3\n2,0,a,4,5\n", True),
+    "columns reordered": ("x,stratum,status,time\n2,b,1,1\n3,a,1,2\n", True),
+}
+
+# Refused files: the same exception type and message from either reader
+REFUSED = {
+    "unparseable": "time,status,stratum,age\n1,1,a,5\n2,0,a,oops\n",
+    "infinite": "time,status,stratum,age\n1,1,a,inf\n",
+    "negative time": "time,status,stratum\n-1,1,a\n",
+    "status 2": "time,status,stratum\n1,2,a\n",
+    "comment after header": "time,status,stratum,x\n1,1,a,2\n# late\n",
+    "empty cell": "time,status,stratum,x\n1,1,a,\n",
+    "ragged row": "time,status,stratum,x\n1,1,a,2\n2,0,b\n",
+    "every row short": "time,status,stratum,x\n1,1,a\n2,0,b\n",
+    "cell spans two lines": 'time,status,stratum,x\n1,1,a,"2\n3"\n',
+    "no data rows": "time,status,stratum,x\n\n",
+}
+
+
+def _count_cell_reads(monkeypatch):
+    calls = []
+    real = data_module._load_csv_cells
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+    monkeypatch.setattr(data_module, "_load_csv_cells", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_one_call_parse_matches_the_cell_reader(name, tmp_path, monkeypatch):
+    text, fast = ACCEPTED[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    want = data_module._load_csv_cells(path)
+    calls = _count_cell_reads(monkeypatch)
+    got = load_csv(path)
+    assert len(calls) == (0 if fast else 1)
+    for field in ("time", "status", "stratum", "covariates"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    assert got.stratum_labels == want.stratum_labels
+    assert got.covariate_names == want.covariate_names
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_refused_files_keep_the_cell_readers_error(name, tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(REFUSED[name].encode())
+    with pytest.raises((ParseError, DomainError, SchemaError)) as want:
+        data_module._load_csv_cells(path)
+    with pytest.raises(want.type) as got:
+        load_csv(path)
+    assert str(got.value) == str(want.value)
 
 
 def test_dataset_requires_an_event():

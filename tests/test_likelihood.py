@@ -342,7 +342,7 @@ def test_multi_chunk_tied_events_share_one_denominator(width, monkeypatch):
     theta = np.random.default_rng(14).normal(0, 0.4, (ds.P, spec.K))
     for s in index.strata:
         Bg = basis.values[s.event_rows[s.event_starts[:-1]]]
-        lse, _ = likelihood_module._risk_set_pass(s, Bg @ theta.T)
+        lse, _ = likelihood_module._risk_set_pass(s, Bg, s.Xs @ theta)
         assert lse.shape == (s.dt.size,)
         stratum = ds.stratum[s.order[0]]
         for g, t in enumerate(s.dt):
@@ -488,6 +488,69 @@ def test_separable_and_product_forms_agree(monkeypatch):
     assert not separable[6:].any() and not separable[:, 6:].any()
 
 
+def _record_spread_pairs(monkeypatch):
+    """The number of basis pairs each separable risk-set pass spreads."""
+    widths = []
+    real = likelihood_module._risk_set_pass
+
+    def recorded(s, Bg, U, mats=(), spread=None):
+        if spread is not None:
+            widths.append(spread[0].shape[1])
+        return real(s, Bg, U, mats, spread)
+    monkeypatch.setattr(likelihood_module, "_risk_set_pass", recorded)
+    return widths
+
+
+def test_pruned_separable_hessian_matches_oracles(monkeypatch):
+    # cubic, K=6: basis functions four or more apart are never both non-zero,
+    # so 3 of the K(K+1)/2 = 21 pairs are zero at every event time
+    P, K = 7, 6
+    ds, spec, basis, index = make_instance(211, n=80, P=P, K=K, degree=3)
+    widths = _record_spread_pairs(monkeypatch)
+    theta = np.random.default_rng(22).normal(0, 0.3, (P, K))
+    _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert widths and max(widths) < K * (K + 1) // 2
+
+    # the product form on P=3 <= K against the pruned separable form on the
+    # same data padded with covariates fixed at zero
+    ds, spec, basis, index = make_instance(212, n=80, P=3, K=K, degree=3)
+    theta = np.random.default_rng(23).normal(0, 0.3, (3, K))
+    product = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+    wide = tv.SurvivalDataset(ds.time, ds.status, ds.stratum, ds.stratum_labels,
+                              np.hstack([ds.covariates, np.zeros((ds.n, 4))]),
+                              ds.covariate_names + tuple(f"z{i}" for i in range(4)))
+    widths.clear()
+    separable = evaluate_report(wide, tv.build_risk_index(wide), basis,
+                                np.vstack([theta, np.zeros((4, K))]),
+                                want_full=True).full_hessian
+    assert widths and max(widths) < K * (K + 1) // 2
+    np.testing.assert_allclose(separable[:3 * K, :3 * K], product, rtol=1e-12,
+                               atol=1e-12 * np.abs(product).max())
+    assert not separable[3 * K:].any() and not separable[:, 3 * K:].any()
+
+
+def test_loglik_pass_holds_one_chunk_of_predictors():
+    # every chunk's predictors go into one buffer of 32 n entries; beside it
+    # the pass holds arrays of n x (K + 1) and m x K entries, well under
+    # three quarters of a chunk, where a second chunk would double it
+    n, P, K = 4000, 2, 5
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(24).normal(0, 0.3, (P, K))
+    (s,) = index.strata
+    assert s.dt.size > 10 * likelihood_module._CHUNK_TIMES
+    chunk = 8 * likelihood_module._CHUNK_TIMES * n
+    tracemalloc.start()
+    try:
+        tv.loglik(ds, index, basis, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunk <= peak < 1.75 * chunk
+
+
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
 def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
     # the chunk width is _CHUNK_TIMES at every stratum size: an entry budget
@@ -507,19 +570,20 @@ def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
 
 def _predictors_computed(s, M):
     """Event times and rows of every chunk the risk-set pass over s computes."""
-    reads = {"M": [], "Xs": []}
+    reads = {"Bg": [], "U": []}
 
     class Recorded(np.ndarray):
         def __getitem__(self, key):
             reads[self.name].append(key)
             return np.asarray(self)[key]
 
-    M, Xs = M.view(Recorded), s.Xs.view(Recorded)
-    M.name, Xs.name = "M", "Xs"
-    spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L, Xs=Xs)
-    likelihood_module._risk_set_pass(spy, M)
-    times = [k.stop - k.start for k in reads["M"]]
-    rows = [k.stop for k in reads["Xs"]]
+    # Bg = M and U = Xs give the predictors M Xs'
+    Bg, U = M.view(Recorded), s.Xs.view(Recorded)
+    Bg.name, U.name = "Bg", "U"
+    spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L)
+    likelihood_module._risk_set_pass(spy, Bg, U)
+    times = [k.stop - k.start for k in reads["Bg"]]
+    rows = [k.stop for k in reads["U"]]
     assert len(times) == len(rows) and sum(times) == s.dt.size
     return times, rows
 

@@ -502,6 +502,28 @@ class TestNewtonPasses:
         assert counts == expected
 
 
+def test_coordinate_unit_steps_make_the_next_coordinates_pass(monkeypatch):
+    # an accepted unit step's blocks pass serves the next coordinate, where
+    # a loglik-only pass at the unit step was followed by a blocks pass at
+    # the same theta; the fit is the one that loglik-only unit steps give
+    ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+    config = MmsaConfig(tol=1e-8)
+    counts = count_passes(monkeypatch)
+    fit = tv.coordinate_ascent_fit(ds, spec, config)
+    shared = dict(counts)
+    real = optimizers._backtrack
+    monkeypatch.setattr(optimizers, "_backtrack", lambda *args: real(*args[:5]))
+    counts.update(loglik=0, blocks=0, full=0)
+    unshared = tv.coordinate_ascent_fit(ds, spec, config)
+    assert unshared.iterations >= 10 and counts["loglik"] >= 6 * unshared.iterations
+    assert shared["loglik"] <= counts["loglik"] // 10
+    assert shared["blocks"] <= counts["blocks"] and shared["full"] == 0
+    assert np.array_equal(fit.theta, unshared.theta)
+    assert fit.trace == unshared.trace
+    assert (fit.loglik, fit.iterations, fit.reason) == \
+        (unshared.loglik, unshared.iterations, unshared.reason)
+
+
 def no_reuse(monkeypatch):
     """Make every _Problem pass afresh, the loglik-only ones included."""
     def report(problem, theta, **wants):
