@@ -274,8 +274,9 @@ def _parse_rows(fh, header) -> SurvivalDataset | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # encoding=None: numpy 1.x's default 'bytes' hands converters bytes
             data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                              converters={j_stratum: code})
+                              encoding=None, converters={j_stratum: code})
     except ValueError:
         return None
     if data.shape[0] == 0 or data.shape[1] != len(header) or not np.isfinite(data).all():

@@ -141,6 +141,25 @@ def test_one_call_parse_matches_the_cell_reader(name, tmp_path, monkeypatch):
     assert got.covariate_names == want.covariate_names
 
 
+def test_one_call_parse_reads_labels_as_text_under_numpy_1x_default(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 default loadtxt to encoding='bytes', which hands the
+    # stratum converter bytes; the labels must still be str
+    path = tmp_path / "d.csv"
+    path.write_bytes(ACCEPTED["quoted comma"][0].encode())
+    want = data_module._load_csv_cells(path)
+    loadtxt = np.loadtxt
+
+    def loadtxt_1x(*args, **kwargs):
+        kwargs.setdefault("encoding", "bytes")
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", loadtxt_1x)
+    calls = _count_cell_reads(monkeypatch)
+    got = load_csv(path)
+    assert not calls
+    assert got.stratum_labels == want.stratum_labels
+    assert all(type(lab) is str for lab in got.stratum_labels)
+
+
 @pytest.mark.parametrize("name", REFUSED)
 def test_refused_files_keep_the_cell_readers_error(name, tmp_path):
     path = tmp_path / "d.csv"
