@@ -184,7 +184,8 @@ def _mmsa_config(cfg: dict) -> MmsaConfig:
 def _fit_and_tests(dataset, spec, cfg):
     """Fit plus the inference pieces the fit/bench commands share."""
     fit = inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
-    resid = likelihood.score_residuals(*fit.fitting_data, fit.theta)
+    resid = likelihood.score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)
+    fit.risk_set_means = None  # read; not held while the outputs are written
     tests = inference.test_all_covariates(fit.theta, resid) if spec.K >= 2 else []
     return fit, resid, tests
 

@@ -32,12 +32,24 @@ holds at most 32 n_j linear predictors, and every chunk of a pass writes
 them into the same buffer: memory is linear in the stratum size and no
 n_j x m array is ever formed.  A wider chunk would not pay on a small
 stratum: its band grows with the width, and every entry of the band is
-exponentiated only for the mask to discard it.  A per-column max shift
-keeps the exponentials stable.  The predictors are formed on the K side:
-with ``U = Xs Theta`` (n_j x K), made once per stratum, a chunk's
-predictors are ``B_g U'``, whose inner dimension is K, not P.  Flat
-coefficient vectors follow the row-major convention theta = vec(Theta):
-block p occupies theta[p*K:(p+1)*K].
+exponentiated only for the mask to discard it.  The predictors are formed
+on the K side: with ``U = Xs Theta`` (n_j x K), made once per stratum, a
+chunk's predictors are ``B_g U'``, whose inner dimension is K, not P.
+The same product shifts them for stable exponentials.  B-spline rows are
+non-negative, so ``hi_g = B_g' max_{i in R(g)} U_i`` (a columnwise max over
+the risk set, from prefix maxima) bounds every predictor of risk set g from
+above; with ``-hi_g`` appended to ``B_g`` and a column of ones to ``U`` the
+GEMM returns the shifted predictors, and no row max or subtraction runs.  A
+chunk whose sum S still falls below 1e-250, which takes predictors that
+spread by more than about 575 within one risk set, is made again with the
+exact max as its shift.
+Where U is all zero, as at every fit's start Theta = 0, each risk weight is
+exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and the
+pass makes no GEMM and no exponential.  Every pass that computes first
+moments keeps each stratum's risk-set means on its report, from which
+``score_residuals`` builds the residuals without a pass of its own.
+Flat coefficient vectors follow the row-major convention theta =
+vec(Theta): block p occupies theta[p*K:(p+1)*K].
 
 The full Hessian is
 
@@ -92,6 +104,7 @@ __all__ = [
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
 _CHUNK_ENTRIES = 1 << 18   # entries per GEMM row chunk: 2 MiB of float64
+_S_FLOOR = 1e-250          # a chunk's risk-set sums below this are made again with the exact max
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -115,6 +128,10 @@ class LikelihoodReport:
 
     ``loglik`` is always set, and is the same value whichever derivatives
     the pass computed; a derivative that was not requested is None.
+    ``risk_set_means`` holds, for every stratum of the index in order, the
+    m x P risk-weighted means of the covariates over the risk sets of its m
+    distinct event times; a pass that computes no first moments (loglik
+    only) leaves it None.
     """
 
     theta: np.ndarray            # P x K
@@ -122,6 +139,7 @@ class LikelihoodReport:
     gradient: np.ndarray | None  # flat, PK
     block_hessians: np.ndarray | None  # P x K x K
     full_hessian: np.ndarray | None    # PK x PK
+    risk_set_means: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def P(self) -> int:
@@ -155,26 +173,41 @@ class ScoreResiduals:
 
 
 def _factors(s, basis_values, Theta):
-    """The stratum's event-time basis rows Bg (m x K) and U = Xs Theta (n x K).
+    """A stratum's factors of its linear predictors, shifted by a bound.
 
-    The linear predictors of the risk-set pass are ``Bg U'``, with inner
-    dimension K.  A non-finite U is left for the pass to report by subject.
+    Returns ``Bg`` (m x (K+1)) and ``U`` (n x (K+1)).  ``Bg[:, :K]`` holds
+    the basis rows of the m distinct event times and ``U[:, :K] = Xs Theta``,
+    so the linear predictors are ``Bg[:, :K] U[:, :K]'``, with inner
+    dimension K.  The last columns hold ``-hi`` and ones, so ``Bg U'`` are
+    the predictors minus ``hi_g = Bg_g . max_{i in R(g)} U_i``, an upper
+    bound of risk set g's predictors wherever the basis row is non-negative.
+    A non-finite U is left for the pass to report by subject.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = s.Xs @ Theta
+    m, K = s.dt.size, Theta.shape[1]
+    U = np.empty((s.order.size, K + 1))
+    Bg = np.empty((m, K + 1))
     # tied events share a time, hence identical basis rows; take the first
-    return basis_values[s.event_rows[s.event_starts[:-1]]], U
+    Bg[:, :K] = basis_values[s.event_rows[s.event_starts[:-1]]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(s.Xs, Theta, out=U[:, :K])
+        U[:, K] = 1.0
+        # the max of U over each event time's new rows, then over every risk set
+        top = np.maximum.reduceat(U[:s.L[-1], :K], np.r_[0, s.L[:-1]], axis=0)
+        np.maximum.accumulate(top, axis=0, out=top)
+        Bg[:, K] = -np.einsum("gk,gk->g", Bg[:, :K], top)
+    return Bg, U
 
 
 def _risk_set_pass(s, Bg, U, mats=(), spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
-    ``Bg`` (m x K) holds the basis rows of the stratum's m distinct event
-    times and ``U`` (n x K) the products ``Xs Theta``, so the linear
-    predictors are ``Bg U'``; ``mats`` are arrays with one row per subject in
+    ``Bg`` (m x (K+1)) and ``U`` (n x (K+1)) are the factors from
+    ``_factors``: ``Bg U'`` are the linear predictors shifted by the bound
+    ``hi = -Bg[:, K]``.  ``mats`` are arrays with one row per subject in
     ``s.order``.  Returns ``log S_g + shift_g`` for every event time g,
     where S_g sums the shifted exponentials over the risk set
-    ``order[:L[g]]`` and shift_g is the largest linear predictor in it, and
+    ``order[:L[g]]`` and shift_g is hi_g, or the largest predictor in the
+    risk set for a chunk whose sums the bound leaves below ``_S_FLOOR``; and
     for each array A in ``mats`` the (m x A.shape[1]) risk-weighted means
     ``E'A / S``.  S is always its own product ``E @ ones``, whatever
     ``mats`` holds, so the log denominators do not depend on the moments
@@ -184,10 +217,21 @@ def _risk_set_pass(s, Bg, U, mats=(), spread=None):
     event time and one row per subject: each row of W is spread over its
     risk set by the risk weights, ``C += E (W / S)``.  Every chunk's
     predictors are written into one buffer, so the pass holds one chunk.
+    Where ``U[:, :K]`` is all zero, ``_uniform_pass`` gives the same
+    outputs in closed form.
     """
+    A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
+    if not U[:, :-1].any():
+        lse, means = _uniform_pass(s, A, spread)
+    else:
+        lse, means = _chunk_loop(s, Bg, U, A, spread)
+    return lse, np.split(means, np.cumsum([X.shape[1] for X in mats])[:-1], axis=1)
+
+
+def _chunk_loop(s, Bg, U, A, spread):
+    """``_risk_set_pass``'s outputs, a chunk of at most ``_CHUNK_TIMES`` event times at a time."""
     n, m = s.order.size, s.dt.size
     ones = np.ones(n)
-    A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
     lse = np.empty(m)
     means = np.empty((m, 0 if A is None else A.shape[1]))
     buf = np.empty(min(_CHUNK_TIMES, m) * n)
@@ -195,27 +239,58 @@ def _risk_set_pass(s, Bg, U, mats=(), spread=None):
         for a in range(0, m, _CHUNK_TIMES):
             b = min(a + _CHUNK_TIMES, m)
             rows, lo = s.L[b - 1], s.L[a]
-            # one event time per row
-            eta = np.matmul(Bg[a:b], U[:rows].T, out=buf[:(b - a) * rows].reshape(b - a, rows))
-            band = eta[:, lo:rows]
-            band[np.arange(lo, rows) >= s.L[a:b, None]] = -np.inf
-            shift = eta.max(axis=1)
-            eta -= shift[:, None]
-            E = np.exp(eta, out=eta)  # masked entries exp(-inf) = 0
+            out = buf[:(b - a) * rows].reshape(b - a, rows)
+            outside = np.arange(lo, rows) >= s.L[a:b, None]
+            # one event time per row, shifted by its bound: masked entries exp(-inf) = 0
+            eta = np.matmul(Bg[a:b], U[:rows].T, out=out)
+            eta[:, lo:rows][outside] = -np.inf
+            E = np.exp(eta, out=eta)
             S = E @ ones[:rows]
-            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(shift))):
-                raw = Bg[a:b] @ U[:rows].T
-                bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=0))
-                row = s.order[bad[0]] if bad.size else s.order[0]
-                raise NumericOverflowError(
-                    f"non-finite linear predictor for subject row {int(row)}")
+            shift = -Bg[a:b, -1]
+            if not np.all((S >= _S_FLOOR) & (S < np.inf)):
+                # a bound too loose, or a non-finite predictor: shift by the exact max
+                eta = np.matmul(Bg[a:b, :-1], U[:rows, :-1].T, out=out)
+                finite = np.all(np.isfinite(eta), axis=0)
+                if not finite.all():
+                    row = s.order[np.flatnonzero(~finite)[0]]
+                    raise NumericOverflowError(
+                        f"non-finite linear predictor for subject row {int(row)}")
+                eta[:, lo:rows][outside] = -np.inf
+                shift = eta.max(axis=1)
+                eta -= shift[:, None]
+                E = np.exp(eta, out=eta)
+                S = E @ ones[:rows]
             lse[a:b] = np.log(S) + shift
             if A is not None:
                 means[a:b] = (E @ A[:rows]) / S[:, None]
             if spread is not None:
                 W, C = spread
                 C[:rows] += E.T @ (W[a:b] / S[:, None])
-    return lse, np.split(means, np.cumsum([X.shape[1] for X in mats])[:-1], axis=1)
+    return lse, means
+
+
+def _uniform_pass(s, A, spread):
+    """``_risk_set_pass``'s outputs where every linear predictor is zero.
+
+    Each risk weight is exactly 1, so S_g = L_g, the means are prefix sums
+    over each event time's new rows ``[L[g-1], L[g])``, and row i of the
+    spread is the sum of ``W_g / L_g`` over the event times whose risk sets
+    hold it, a reverse cumulative sum.
+    """
+    L = s.L
+    new = np.r_[0, L[:-1]]  # first row of each event time's new rows
+    lse = np.log(L)
+    if A is None:
+        means = np.empty((L.size, 0))
+    else:
+        means = np.add.reduceat(A[:L[-1]], new, axis=0)
+        np.cumsum(means, axis=0, out=means)
+        means /= L[:, None]
+    if spread is not None:
+        W, C = spread
+        R = np.cumsum((W / L[:, None])[::-1], axis=0)[::-1]
+        C[:L[-1]] += np.repeat(R, L - new, axis=0)
+    return lse, means
 
 
 def _add_second_moments(out, Xs, C):
@@ -243,29 +318,36 @@ def _physical_memory() -> int | None:
 def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
-    Counted at the largest stratum: the vector of ones and U (n x K), the
-    one buffer of linear predictors that every chunk reuses and its band
-    mask at a byte an entry (at most ``_CHUNK_TIMES`` event times, so at
-    most 32 n entries each), Hf and one Hf-sized addition to it, and for
-    each form its own arrays (see the comments below).  The separable form
-    is counted with all K(K+1)/2 basis pairs; it spreads only the pairs
-    that overlap at some event time, so its count is an upper bound.
+    Counted at the largest stratum: the vector of ones and U with its column
+    of ones (n x (K+1)), Bg with its bound column and the prefix maxima (m x
+    (K+1) and m x K), the one buffer of linear predictors that every chunk
+    reuses and its band mask at a byte an entry (at most ``_CHUNK_TIMES``
+    event times, so at most 32 n entries each), Hf and one Hf-sized
+    addition to it, the risk-set means the report keeps for every stratum
+    (m x P each), and for each form its own arrays (see the comments
+    below).  A stratum's m-row arrays are still bound while the next
+    stratum's pass runs, so they are counted twice.  The separable form is counted with all K(K+1)/2 basis pairs;
+    it spreads only the pairs that overlap at some event time, so its count
+    is an upper bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
+    kept = P * sum(s.dt.size for s in index.strata)
     T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
     if separable:
         # C and one C-sized addition to it (the moments are Xs itself, read
-        # in place); ZB; one GEMM row chunk; the P*T x P second moments and
-        # one addition to them
-        entries = (2 * n * T + m * P * K
+        # in place); ZB, twice; one GEMM row chunk; the P*T x P second moments
+        # and one addition to them
+        entries = (2 * n * T + 2 * m * P * K
                    + min(n, max(1, _CHUNK_ENTRIES // (P * T))) * P * T + 2 * P * P * T)
     else:
         # the pair products, then the moment matrix [Xs, products] holding a
-        # copy of them; its risk-set means and the pairs' weighted form
-        entries = n * (P + 2 * pairs) + m * (P + 2 * pairs)
+        # copy of them; its risk-set means and the pairs' weighted form,
+        # twice; the basis products B_g B_g' the pair blocks contract it with
+        entries = n * (P + 2 * pairs) + m * (2 * P + 4 * pairs + K * K)
     chunk = min(_CHUNK_TIMES, m) * n
-    return 8 * (entries + n * (1 + K) + chunk + 2 * (P * K) ** 2) + chunk
+    return 8 * (entries + n * (2 + K) + m * (2 * K + 1) + chunk + 2 * (P * K) ** 2
+                + kept) + chunk
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -311,6 +393,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     pairs = (np.triu_indices(P) if want_full and not separable
              else (np.arange(P),) * 2 if want_blocks else None)
     ll = 0.0
+    kept = []  # each stratum's risk-set means
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
     Hf = np.zeros((P * K, P * K)) if want_full else None
     if pairs is not None:
@@ -323,7 +406,8 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         second = np.zeros((P * ku[0].size, P))
 
     for s in index.strata:
-        Bg, U = _factors(s, basis.values, Theta)
+        factors = _factors(s, basis.values, Theta)
+        Bg = factors[0][:, :K]
         d = s.d
         mats = [s.Xs] if (G is not None or pairs is not None) else []
         if pairs is not None:
@@ -332,11 +416,12 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         if separable:
             C = np.zeros((s.order.size, ku[0].size))
             spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C)
-        lse, means = _risk_set_pass(s, Bg, U, mats, spread)
+        lse, means = _risk_set_pass(s, *factors, mats, spread)
         ll += float((s.SX * (Bg @ Theta.T)).sum() - (d * lse).sum())
         if not mats:
             continue
-        Zbar = means[0]
+        Zbar = np.ascontiguousarray(means[0])  # a copy when it is a view of wider means
+        kept.append(Zbar)
         if G is not None:
             G += (s.SX - d[:, None] * Zbar).T @ Bg
         if pairs is not None:
@@ -369,6 +454,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         gradient=G.reshape(-1) if G is not None else None,
         block_hessians=-pair_blocks[pairs[0] == pairs[1]] if want_blocks else None,
         full_hessian=Hf,
+        risk_set_means=tuple(kept) if kept else None,
     )
 
 
@@ -385,23 +471,19 @@ def full_hessian(dataset, index, basis, theta) -> np.ndarray:
 
 
 def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
-                    theta) -> ScoreResiduals:
-    """Per-event residuals Psi and the empirical information V = Psi' Psi."""
-    P = dataset.P
-    K = basis.values.shape[1]
-    Theta = as_matrix(theta, P, K)
-    if not np.all(np.isfinite(Theta)):
-        raise NumericOverflowError("non-finite coefficients")
-    chunks = []
-    rows = []
-    for s in index.strata:
-        Bg, U = _factors(s, basis.values, Theta)
-        _, (Zbar,) = _risk_set_pass(s, Bg, U, [s.Xs])
-        dx = dataset.covariates[s.event_rows] - Zbar[s.event_group]
-        psi = dx[:, :, None] * basis.values[s.event_rows][:, None, :]
-        chunks.append(psi.reshape(s.event_rows.size, P * K))
-        rows.append(s.event_rows)
-    psi = np.concatenate(chunks) if chunks else np.zeros((0, P * K))
-    event_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-    return ScoreResiduals(psi=psi, event_rows=event_rows,
-                          total=psi.sum(axis=0), V=psi.T @ psi)
+                    theta, risk_set_means=None) -> ScoreResiduals:
+    """Per-event residuals Psi and the empirical information V = Psi' Psi.
+
+    ``risk_set_means`` are the risk-set means of a pass made at theta, as
+    ``LikelihoodReport.risk_set_means`` or ``FitResult.risk_set_means`` keep
+    them; the residuals are then built from them with no risk-set pass.
+    Without them, one gradient pass at theta computes them.
+    """
+    if risk_set_means is None:
+        risk_set_means = evaluate_report(dataset, index, basis, theta).risk_set_means
+    P, K = dataset.P, basis.values.shape[1]
+    rows = np.concatenate([s.event_rows for s in index.strata])
+    zbar = np.concatenate([Z[s.event_group] for s, Z in zip(index.strata, risk_set_means)])
+    psi = ((dataset.covariates[rows] - zbar)[:, :, None]
+           * basis.values[rows][:, None, :]).reshape(rows.size, P * K)
+    return ScoreResiduals(psi=psi, event_rows=rows, total=psi.sum(axis=0), V=psi.T @ psi)

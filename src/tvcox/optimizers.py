@@ -130,8 +130,12 @@ class FitResult:
     present; ``theta_original`` undoes the scaling.  ``fitting_data`` is the
     ``(dataset, index, basis)`` the fit ran on, on the fitting scale and in
     the likelihood functions' argument order, as in
-    ``score_residuals(*fit.fitting_data, fit.theta)``; the result keeps
-    these arrays alive.  ``trace`` holds one entry per update: (selected
+    ``score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)``;
+    the result keeps these arrays alive.  ``risk_set_means`` are the
+    per-stratum risk-set means of the pass that the fit's log likelihood was
+    read off, at the returned theta, so that call makes no likelihood pass;
+    a loglik-only pass computes none, and then they are None and
+    ``score_residuals`` makes one.  ``trace`` holds one entry per update: (selected
     block or -1 when the optimizer has no block structure, stopping-criterion
     value, full-data log likelihood at the fitting loop's latest check).  For
     the full-data methods that check is made at the theta the update starts
@@ -152,6 +156,7 @@ class FitResult:
     config: MmsaConfig
     wall_time_sec: float = 0.0
     fitting_data: tuple | None = field(default=None, repr=False, compare=False)
+    risk_set_means: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_original(self) -> np.ndarray:
@@ -185,9 +190,9 @@ def _ridged_solve(A: np.ndarray, rhs: np.ndarray, ridge: float, label: str):
     Cholesky factorization is the positive-definiteness test.
     """
     eps = ridge
-    eye = np.eye(A.shape[0])
     while True:
-        ridged = A + eps * eye
+        ridged = A.copy()
+        ridged.flat[::A.shape[0] + 1] += eps
         try:
             np.linalg.cholesky(ridged)
         except np.linalg.LinAlgError:
@@ -246,20 +251,23 @@ class _Problem:
         self.data = (dataset, build_risk_index(dataset), basis)
         self._latest = None  # (wants, report) of the latest pass, of any kind
 
+    def latest_at(self, theta) -> lk.LikelihoodReport | None:
+        """The latest pass, when it was made at theta."""
+        kept = self._latest
+        return kept[1] if kept is not None and np.array_equal(kept[1].theta, theta) else None
+
     def report(self, theta, **wants) -> lk.LikelihoodReport:
         """Full-data pass at theta, reused when the latest pass made there had these wants."""
-        kept = self._latest
-        if kept is None or kept[0] != wants or not np.array_equal(kept[1].theta, theta):
+        if self.latest_at(theta) is None or self._latest[0] != wants:
+            self._latest = None  # released before the new pass allocates its arrays
             self._latest = (wants, lk.evaluate_report(*self.data, theta, **wants))
         return self._latest[1]
 
     def loglik(self, theta: np.ndarray) -> float:
         """Full-data log likelihood at theta, read off the latest pass when it was made
         there (every pass kind reports the same value), else from a loglik-only pass."""
-        kept = self._latest
-        if kept is not None and np.array_equal(kept[1].theta, theta):
-            return kept[1].loglik
-        return self.report(theta, want_gradient=False).loglik
+        kept = self.latest_at(theta)
+        return kept.loglik if kept is not None else self.report(theta, want_gradient=False).loglik
 
 
 def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
@@ -309,11 +317,14 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
         since += 1
         trace.append((block, criterion, ll_prev))
 
+    ll = problem.loglik(theta)
+    final = problem.latest_at(theta)  # the pass ll was read off
     return FitResult(theta=theta, spec=spec, transform=problem.transform,
-                     loglik=float(problem.loglik(theta)), iterations=len(trace),
+                     loglik=float(ll), iterations=len(trace),
                      converged=reason != "max-iterations", reason=reason, trace=trace,
                      optimizer=optimizer, config=config,
-                     wall_time_sec=time.perf_counter() - t0, fitting_data=problem.data)
+                     wall_time_sec=time.perf_counter() - t0, fitting_data=problem.data,
+                     risk_set_means=None if final is None else final.risk_set_means)
 
 
 def _best_block(report: lk.LikelihoodReport, ridge: float):
@@ -415,12 +426,13 @@ def _newton_step(problem: _Problem, config: MmsaConfig):
 
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
-        ll, g = rep.loglik, rep.gradient
+        # move holds only what it reads, so the report is freed with the next pass
+        ll, g, H = rep.loglik, rep.gradient, rep.full_hessian
         gnorm = np.abs(g).max()
 
         def move(theta):
             nonlocal unit_wants
-            flat_dir, _ = _ridged_solve(-rep.full_hessian, g, config.ridge, "full Hessian")
+            flat_dir, _ = _ridged_solve(-H, g, config.ridge, "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
                                float(g @ flat_dir), ll, unit_wants)
             unit_wants = full if moved is not None and moved[2] == 1.0 else None

@@ -169,6 +169,52 @@ class TestFitCommand:
         assert "max_iters" in err
 
 
+class TestResidualsFromTheFitsLastPass:
+    """``_fit_and_tests`` builds the residuals from the means of the fit's last pass."""
+
+    def fit_and_count(self, monkeypatch, **cfg):
+        """``_fit_and_tests`` on a two-stratum scenario, and the risk-set passes after the fit."""
+        ds = tvcox.generate(tvcox.ScenarioSpec(setting=1, n=300, P=3, J=2, seed=5))
+        spec = tvcox.make_spec(degree=3, K=4, event_times=ds.event_times)
+        passes = []
+        real_pass = tvcox.likelihood._risk_set_pass
+
+        def counted(*args):
+            passes.append(args[0])
+            return real_pass(*args)
+        monkeypatch.setattr(tvcox.likelihood, "_risk_set_pass", counted)
+        fit_fn, after_fit = cli.inference.fit_by_name(cfg["optimizer"]), []
+
+        def fit_then_mark(*args):
+            result = fit_fn(*args)
+            after_fit.append(len(passes))
+            return result
+        monkeypatch.setattr(cli.inference, "fit_by_name", lambda name: fit_then_mark)
+        fit, resid, tests = cli._fit_and_tests(
+            ds, spec, dict(dict(nu=0.05, eta=1.0, max_iter=20000, tol=1e-8, seed=1), **cfg))
+        monkeypatch.undo()
+        (mark,) = after_fit
+        return fit, resid, len(passes) - mark
+
+    def test_a_converged_newton_fit_makes_no_pass(self, monkeypatch):
+        fit, resid, after = self.fit_and_count(monkeypatch, optimizer="newton")
+        assert fit.converged and after == 0
+        fresh = tvcox.score_residuals(*fit.fitting_data, fit.theta)
+        np.testing.assert_allclose(resid.V, fresh.V, rtol=1e-12, atol=0)
+        final = tvcox.evaluate_report(*fit.fitting_data, fit.theta, want_full=True)
+        scale = np.abs(resid.psi).sum(axis=0).max()
+        np.testing.assert_allclose(resid.total, final.gradient, rtol=0, atol=1e-12 * scale)
+
+    def test_a_subsampled_mmsa_fit_makes_one_pass(self, monkeypatch):
+        # its last pass is loglik-only, which computes no means
+        fit, resid, after = self.fit_and_count(monkeypatch, optimizer="mmsa", eta=0.2,
+                                               max_iter=60)
+        assert fit.risk_set_means is None
+        assert after == len(fit.fitting_data[1].strata) == 2
+        fresh = tvcox.score_residuals(*fit.fitting_data, fit.theta)
+        assert np.array_equal(resid.V, fresh.V) and np.array_equal(resid.total, fresh.total)
+
+
 class TestConfigFile:
     """--config values go through the type of their flag, as flag text does."""
 

@@ -342,7 +342,8 @@ def test_multi_chunk_tied_events_share_one_denominator(width, monkeypatch):
     theta = np.random.default_rng(14).normal(0, 0.4, (ds.P, spec.K))
     for s in index.strata:
         Bg = basis.values[s.event_rows[s.event_starts[:-1]]]
-        lse, _ = likelihood_module._risk_set_pass(s, Bg, s.Xs @ theta)
+        lse, _ = likelihood_module._risk_set_pass(
+            s, *likelihood_module._factors(s, basis.values, theta))
         assert lse.shape == (s.dt.size,)
         stratum = ds.stratum[s.order[0]]
         for g, t in enumerate(s.dt):
@@ -574,11 +575,13 @@ def _predictors_computed(s, M):
 
     class Recorded(np.ndarray):
         def __getitem__(self, key):
-            reads[self.name].append(key)
+            if isinstance(key, slice):  # a chunk's rows; a tuple key picks columns
+                reads[self.name].append(key)
             return np.asarray(self)[key]
 
-    # Bg = M and U = Xs give the predictors M Xs'
-    Bg, U = M.view(Recorded), s.Xs.view(Recorded)
+    # Bg = [M, 0] and U = [Xs, 1] give the predictors M Xs', with a zero shift
+    Bg = np.hstack([M, np.zeros((M.shape[0], 1))]).view(Recorded)
+    U = np.hstack([s.Xs, np.ones((s.Xs.shape[0], 1))]).view(Recorded)
     Bg.name, U.name = "Bg", "U"
     spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L)
     likelihood_module._risk_set_pass(spy, Bg, U)
@@ -617,3 +620,98 @@ def test_full_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatch)
     monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need)
     evaluate_report(ds, index, basis, theta, want_full=True)
 
+
+
+# A linear basis B(u) = (1 - u, u) on [0, 1], covariate x0 = +-1 and
+# coefficients c (1, -1) on it: the predictors are about c x0 (1 - 2u), so
+# at event times u in (0.33, 0.42) they spread by 640-1360 within a risk
+# set, while the bound hi_g = B_g . (columnwise max of U) is about c.  Where
+# a risk set holds both signs of x0, that is more than 745 above every
+# predictor, and the bound's exponentials all underflow to zero.  Every predictor stays below 709, so the oracles' unshifted
+# exponentials stay finite.
+def _loose_bound_instance(P, c=2000.0, n=40, seed=231):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.choice([-1.0, 1.0], n), rng.standard_normal((n, P - 1))])
+    ds = tv.SurvivalDataset(time=rng.uniform(0.33, 0.42, n), status=(rng.random(n) < 0.7),
+                            stratum=np.zeros(n, dtype=np.int64), stratum_labels=("s",),
+                            covariates=X, covariate_names=tuple(f"x{p}" for p in range(P)))
+    spec = tv.SplineSpec(degree=1, interior=np.array([]), domain=(0.0, 1.0))
+    theta = np.vstack([[c, -c], rng.normal(0, 0.3, (P - 1, 2))])
+    return ds, tv.evaluate_batch(spec, ds.time), tv.build_risk_index(ds), theta
+
+
+@pytest.mark.parametrize("P", [2, 3])  # K = 2: the product and the separable full Hessian
+def test_loose_bound_falls_back_to_the_exact_max(P):
+    ds, basis, index, theta = _loose_bound_instance(P)
+    (s,) = index.strata
+    Bk, U = likelihood_module._factors(s, basis.values, theta)
+    eta = Bk[:, :-1] @ U[:, :-1].T
+    in_risk_set = np.arange(s.order.size) < s.L[:, None]
+    top = np.where(in_risk_set, eta, -np.inf).max(axis=1)
+    low = np.where(in_risk_set, eta, np.inf).min(axis=1)
+    assert (top - low).max() > 600 and np.abs(eta).max() < 700
+    assert (-Bk[:, -1] - top).max() > 745  # some risk set's exp(predictor - hi_g) are all 0
+
+    lls = {kind: evaluate_report(ds, index, basis, theta, **kw).loglik
+           for kind, kw in PASS_KINDS.items()}
+    assert len(set(lls.values())) == 1, lls
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta), rel=1e-12)
+    # the log likelihood is about -1e4 here, so finite differences of it lose
+    # about 1e-6 to rounding: the brute-force residuals, which sum to the
+    # gradient, are the oracle for it
+    order, psi = brute_score_residuals(ds, basis.values, theta)
+    np.testing.assert_allclose(rep.gradient, psi.sum(axis=0), rtol=1e-10, atol=1e-10)
+    res = tv.score_residuals(ds, index, basis, theta)
+    got = {int(r): res.psi[i] for i, r in enumerate(res.event_rows)}
+    for i, r in enumerate(order):
+        np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
+
+
+# At Theta = 0 every risk weight is exactly 1 and the pass takes its closed
+# form; at 1e-200 R the weights are still exactly 1, but the chunk loop runs.
+@pytest.mark.parametrize("width", MULTI_CHUNK)
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])  # the product and the separable full Hessian
+def test_zero_start_equals_the_chunk_loop(P, K, width, monkeypatch):
+    monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
+    ds, spec, basis, index = make_instance(221, n=60, P=P, K=K, J=2)
+    assert len(index.strata) == 2 and any(s.d.max() > 1 for s in index.strata)
+    assert min(_chunk_count(s, width) for s in index.strata) >= 3
+    loops = []
+    real = likelihood_module._chunk_loop
+
+    def counted(*args):
+        loops.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(likelihood_module, "_chunk_loop", counted)
+
+    outputs = []
+    for theta in (np.zeros((P, K)), 1e-200 * np.random.default_rng(25).normal(0, 1, (P, K))):
+        loops.clear()
+        reports = [evaluate_report(ds, index, basis, theta, **kw) for kw in PASS_KINDS.values()]
+        res = tv.score_residuals(ds, index, basis, theta)
+        outputs.append([np.array([r.loglik for r in reports])]
+                       + [r.gradient for r in reports[1:]]
+                       + [reports[2].block_hessians, reports[3].full_hessian, res.psi, res.V]
+                       + [Z for r in reports[1:] for Z in r.risk_set_means])
+        assert len(loops) == (0 if not theta.any() else 5 * len(index.strata))
+    for want, got in zip(*outputs):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# one stratum and many small ones, in the product (P <= K) and the separable form
+@pytest.mark.parametrize("n,P,K,J", [(4000, 4, 5, 1), (4000, 4, 5, 8), (2000, 12, 4, 1),
+                                     (3000, 8, 3, 2)])
+def test_full_pass_bytes_bound_the_traced_peak(n, P, K, J):
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, J=J, seed=12))
+    spec = tv.make_spec(degree=min(3, K - 1), K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(26).normal(0, 0.05, (P, K))
+    tracemalloc.start()
+    try:
+        evaluate_report(ds, index, basis, theta, want_full=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= likelihood_module._full_pass_bytes(index, P, K, P > K)

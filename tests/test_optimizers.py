@@ -570,3 +570,40 @@ class TestFittingData:
         bare = dataclasses.replace(fit, fitting_data=None)
         assert bare == fit
         assert "fitting_data" not in repr(fit)
+
+
+def ridged_solve_with_eye(A, rhs, ridge, label):
+    """``_ridged_solve`` as it was: the ridge added as ``eps * np.eye(n)``."""
+    eps = ridge
+    while True:
+        ridged = A + eps * np.eye(A.shape[0])
+        try:
+            np.linalg.cholesky(ridged)
+        except np.linalg.LinAlgError:
+            if eps >= optimizers.RIDGE_CEIL:
+                raise ConditioningError(label) from None
+            eps = min(1e-8 if eps == 0 else eps * 10, optimizers.RIDGE_CEIL)
+        else:
+            return np.linalg.solve(ridged, rhs), eps
+
+
+@pytest.mark.parametrize("name, seed, config", [
+    ("newton", 19, MmsaConfig(tol=1e-8)), ("newton", 2, MmsaConfig(tol=1e-8, ridge=0.0)),
+    ("mmsa", 19, MmsaConfig(tol=1e-8)), ("coordinate", 19, MmsaConfig(tol=1e-8)),
+    ("mmsa", 19, MmsaConfig(subsample_fraction=0.3, seed=4, max_iterations=75))])
+def test_ridge_on_the_diagonal_changes_no_direction(name, seed, config, monkeypatch):
+    ds, spec, _, _ = make_instance(seed, n=80, P=2, K=3)
+    fit = fit_by_name(name)(ds, spec, config)
+    monkeypatch.setattr(optimizers, "_ridged_solve", ridged_solve_with_eye)
+    with_eye = fit_by_name(name)(ds, spec, config)
+    assert np.array_equal(fit.theta, with_eye.theta)
+    assert fit.trace == with_eye.trace
+
+
+def test_ridge_escalation_is_unchanged():
+    A = np.array([[1.0, 0.0], [0.0, -1e-6]])
+    rhs = np.array([1.0, 2.0])
+    got, eps = optimizers._ridged_solve(A, rhs, 1e-8, "test")
+    want, want_eps = ridged_solve_with_eye(A, rhs, 1e-8, "test")
+    assert eps == want_eps == pytest.approx(1e-5) and np.array_equal(got, want)
+    assert A[1, 1] == -1e-6  # the ridge went onto a copy
