@@ -159,18 +159,25 @@ class _StratumIndex:
 
 
 class RiskIndex:
-    """Per-stratum risk-set structure for a dataset."""
+    """Per-stratum risk-set structure for a dataset.
 
-    def __init__(self, dataset: SurvivalDataset):
-        self.n = dataset.n
-        self.strata = []
-        for j in range(dataset.J):
-            rows = np.flatnonzero(dataset.stratum == j)
-            if rows.size == 0 or dataset.status[rows].sum() == 0:
-                continue  # zero-event strata contribute nothing
-            order = rows[np.lexsort((rows, -dataset.time[rows]))]
-            self.strata.append(_StratumIndex(
-                order, dataset.time, dataset.status, dataset.covariates))
+    Each stratum is built from its rows in descending-time order, ties by
+    row index.  Without ``orders`` one sort per stratum gives them.
+    ``orders`` gives them directly, one per stratum, in the dataset's own
+    row numbers: a subsample draw passes each of the full index's orders
+    filtered by its row mask, which keeps them sorted, so the draw's index
+    reads the dataset's arrays and needs no sort.  Strata without events
+    contribute nothing and are left out.
+    """
+
+    def __init__(self, dataset: SurvivalDataset, orders=None):
+        if orders is None:
+            orders = []
+            for j in range(dataset.J):
+                rows = np.flatnonzero(dataset.stratum == j)
+                orders.append(rows[np.lexsort((rows, -dataset.time[rows]))])
+        self.strata = [_StratumIndex(order, dataset.time, dataset.status, dataset.covariates)
+                       for order in orders if dataset.status[order].any()]
         self.n_events = int(sum(s.event_rows.size for s in self.strata))
 
     def risk_set(self, stratum_index: int, event_row: int) -> np.ndarray:

@@ -16,7 +16,10 @@ set is a contiguous prefix of the stratum's descending-time ordering.
 Every evaluation returns the log likelihood, and every kind of pass
 computes it the same way: the risk-set sums S are their own product
 ``E 1`` of the risk weights with a vector of ones, and the weighted
-moments a separate product ``E A`` over the requested arrays only.  A
+moments a separate product ``E A`` over one moment array ``A``, which
+holds the requested columns only, written side by side once per stratum:
+the covariates, and the products of the covariate pairs whose Hessian
+blocks the pass builds (see below).  A
 loglik-only pass and a full-Hessian pass at the same theta therefore
 report the same value, bit for bit, which the ascent guard, the Armijo
 test and the stopping rules rely on when they compare values from
@@ -198,21 +201,20 @@ def _factors(s, basis_values, Theta):
     return Bg, U
 
 
-def _risk_set_pass(s, Bg, U, mats=(), spread=None):
+def _risk_set_pass(s, Bg, U, A=None, spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
     ``Bg`` (m x (K+1)) and ``U`` (n x (K+1)) are the factors from
     ``_factors``: ``Bg U'`` are the linear predictors shifted by the bound
-    ``hi = -Bg[:, K]``.  ``mats`` are arrays with one row per subject in
-    ``s.order``.  Returns ``log S_g + shift_g`` for every event time g,
-    where S_g sums the shifted exponentials over the risk set
+    ``hi = -Bg[:, K]``.  ``A``, if given, is the moment array, with one row
+    per subject in ``s.order``.  Returns ``log S_g + shift_g`` for every
+    event time g, where S_g sums the shifted exponentials over the risk set
     ``order[:L[g]]`` and shift_g is hi_g, or the largest predictor in the
     risk set for a chunk whose sums the bound leaves below ``_S_FLOOR``; and
-    for each array A in ``mats`` the (m x A.shape[1]) risk-weighted means
-    ``E'A / S``.  S is always its own product ``E @ ones``, whatever
-    ``mats`` holds, so the log denominators do not depend on the moments
-    requested; the moments come from one ``E @ A`` over ``mats`` side by
-    side (no copy when there is one array, no product when there is none).
+    the (m x A.shape[1]) risk-weighted means ``E'A / S`` (m x 0 without A).
+    S is always its own product ``E @ ones``, whatever ``A`` holds, so the
+    log denominators do not depend on the moments requested; the moments
+    come from one ``E @ A``, and without A from no product.
     ``spread``, if given, is a pair ``(W, C)`` of arrays with one row per
     event time and one row per subject: each row of W is spread over its
     risk set by the risk weights, ``C += E (W / S)``.  Every chunk's
@@ -220,12 +222,9 @@ def _risk_set_pass(s, Bg, U, mats=(), spread=None):
     Where ``U[:, :K]`` is all zero, ``_uniform_pass`` gives the same
     outputs in closed form.
     """
-    A = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1) if mats else None
     if not U[:, :-1].any():
-        lse, means = _uniform_pass(s, A, spread)
-    else:
-        lse, means = _chunk_loop(s, Bg, U, A, spread)
-    return lse, np.split(means, np.cumsum([X.shape[1] for X in mats])[:-1], axis=1)
+        return _uniform_pass(s, A, spread)
+    return _chunk_loop(s, Bg, U, A, spread)
 
 
 def _chunk_loop(s, Bg, U, A, spread):
@@ -325,10 +324,10 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     event times, so at most 32 n entries each), Hf and one Hf-sized
     addition to it, the risk-set means the report keeps for every stratum
     (m x P each), and for each form its own arrays (see the comments
-    below).  A stratum's m-row arrays are still bound while the next
-    stratum's pass runs, so they are counted twice.  The separable form is counted with all K(K+1)/2 basis pairs;
-    it spreads only the pairs that overlap at some event time, so its count
-    is an upper bound.
+    below).  Each stratum's arrays are released before the next stratum's
+    pass, so they are counted once.  The separable form is counted with all
+    K(K+1)/2 basis pairs; it spreads only the pairs that overlap at some
+    event time, so its count is an upper bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
@@ -336,15 +335,15 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
     if separable:
         # C and one C-sized addition to it (the moments are Xs itself, read
-        # in place); ZB, twice; one GEMM row chunk; the P*T x P second moments
-        # and one addition to them
-        entries = (2 * n * T + 2 * m * P * K
+        # in place); ZB; one GEMM row chunk; the P*T x P second moments and
+        # one addition to them
+        entries = (2 * n * T + m * P * K
                    + min(n, max(1, _CHUNK_ENTRIES // (P * T))) * P * T + 2 * P * P * T)
     else:
-        # the pair products, then the moment matrix [Xs, products] holding a
-        # copy of them; its risk-set means and the pairs' weighted form,
-        # twice; the basis products B_g B_g' the pair blocks contract it with
-        entries = n * (P + 2 * pairs) + m * (2 * P + 4 * pairs + K * K)
+        # the moment array [Xs, pair products]; its risk-set means and the
+        # pairs' weighted form; the basis products B_g B_g' the pair blocks
+        # contract it with
+        entries = n * (P + pairs) + m * (P + 2 * pairs + K * K)
     chunk = min(_CHUNK_TIMES, m) * n
     return 8 * (entries + n * (2 + K) + m * (2 * K + 1) + chunk + 2 * (P * K) ** 2
                 + kept) + chunk
@@ -409,30 +408,35 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         factors = _factors(s, basis.values, Theta)
         Bg = factors[0][:, :K]
         d = s.d
-        mats = [s.Xs] if (G is not None or pairs is not None) else []
+        A = None if G is None else s.Xs
         if pairs is not None:
-            mats.append(s.Xs[:, pairs[0]] * s.Xs[:, pairs[1]])
-        spread = None
-        if separable:
-            C = np.zeros((s.order.size, ku[0].size))
-            spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C)
-        lse, means = _risk_set_pass(s, *factors, mats, spread)
+            # the covariates and their pair products side by side, one moment
+            # array; a product at a time, so no n x pairs temporary is made
+            A = np.empty((s.order.size, P + pairs[0].size))
+            A[:, :P] = s.Xs
+            for c, (p, q) in enumerate(zip(*pairs)):
+                np.multiply(s.Xs[:, p], s.Xs[:, q], out=A[:, P + c])
+        C = np.zeros((s.order.size, ku[0].size)) if separable else None
+        spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C) if separable else None
+        lse, means = _risk_set_pass(s, *factors, A, spread)
+        A = None  # released before the means are read
         ll += float((s.SX * (Bg @ Theta.T)).sum() - (d * lse).sum())
-        if not mats:
-            continue
-        Zbar = np.ascontiguousarray(means[0])  # a copy when it is a view of wider means
-        kept.append(Zbar)
+        if means.shape[1]:  # the pass computed first moments
+            Zbar = np.ascontiguousarray(means[:, :P])  # a copy when the means are wider
+            kept.append(Zbar)
         if G is not None:
             G += (s.SX - d[:, None] * Zbar).T @ Bg
         if pairs is not None:
-            W = (means[1] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
+            W = (means[:, P:] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
             pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
         if separable:
             _add_second_moments(second, s.Xs, C)
             # sqrt(d) on both factors weights the mean term by d, and numpy
-            # computes A.T @ A as a symmetric product
+            # computes ZB.T @ ZB as a symmetric product
             ZB = (Zbar[:, :, None] * (Bg * np.sqrt(d)[:, None])[:, None, :]).reshape(-1, P * K)
             Hf += ZB.T @ ZB
+        # released before the next stratum's pass allocates its own
+        factors = Bg = lse = C = spread = means = W = ZB = None
 
     if separable:
         T = ku[0].size

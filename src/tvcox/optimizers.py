@@ -22,8 +22,10 @@ Each ``*_fit`` is a small step function run by one private loop,
 ``_drive``, which holds all of a fit's loop state: the latest full-data
 log likelihood, the updates made since it, the trace and the
 ``FitResult``.  A step function computes one iteration's criterion and
-update; the only state one keeps between iterations is the choice of
-pass for the next unit step (Newton and coordinate ascent).  Every
+update, and keeps no state between iterations; the fit's ``_Problem``
+holds its data, its latest pass and, for the line searches of Newton and
+coordinate ascent, whether the latest unit step was accepted, which
+``_backtrack`` reads to choose the next unit step's pass.  Every
 iteration is checked in one order: the method's own guard (MMSA's ascent
 check), then the score test (none in stochastic MMSA), then the relative
 change of the full-data log likelihood.  That test compares each
@@ -35,7 +37,9 @@ methods it does so on every iteration, off the pass the step just made.
 Stochastic MMSA draws its updates from subsamples, and the loop reads it
 only at the first iteration and after every window of 20 updates, by a
 loglik-only pass; a draw with no events, or with every block score below
-tol, makes no update and brings the next check no closer.  The reported
+tol, makes no update and brings the next check no closer.  A draw is a
+risk index over a subset of the fit's own rows, read together with the
+fit's dataset and basis, so it copies no data.  The reported
 log likelihood is read off the latest full-data pass when it was made at
 the returned theta, of whatever kind, since every pass kind reports the
 same value; otherwise a loglik-only pass is made there.
@@ -220,24 +224,26 @@ def mmsa_block_quantities(report: lk.LikelihoodReport, p: int, ridge: float):
     return max(float(g @ direction), 0.0), direction
 
 
-def _subsample(data: tuple, config: MmsaConfig, iteration: int):
-    """Draw the eta-fraction subsample of ``(dataset, index, basis)`` for one iteration.
+def _subsample(data: tuple, config: MmsaConfig, iteration: int) -> RiskIndex | None:
+    """The risk index of the eta-fraction subsample drawn for one iteration.
 
     Counter-based: Philox keyed by the seed with the iteration as counter,
-    so any iteration's draw is reproducible in isolation.  Returns
-    (dataset, index, basis) or None when the draw contains no events.
+    so any iteration's draw is reproducible in isolation.  The draw keeps
+    the fit's ``(dataset, basis)`` and its row numbers: its index filters
+    each stratum's order in the fit's index by the drawn rows, which keeps
+    the order sorted, so a draw copies no data and sorts nothing.  Returns
+    that index, or None when the draw contains no events.
     """
-    work, _, basis = data
+    work, index, _ = data
     n = work.n
     k = min(n, max(1, int(round(config.subsample_fraction * n))))
     gen = np.random.Generator(np.random.Philox(key=config.seed,
                                                counter=[0, 0, 0, iteration]))
-    rows = np.sort(gen.choice(n, size=k, replace=False))
-    if work.status[rows].sum() == 0:
+    drawn = np.zeros(n, dtype=bool)
+    drawn[gen.choice(n, size=k, replace=False)] = True
+    if not work.status[drawn].any():
         return None
-    sub = work.subset(rows)
-    sub_basis = BasisMatrix(times=basis.times[rows], values=basis.values[rows])
-    return sub, build_risk_index(sub), sub_basis
+    return RiskIndex(work, [s.order[drawn[s.order]] for s in index.strata])
 
 
 class _Problem:
@@ -250,6 +256,7 @@ class _Problem:
         basis = evaluate_batch(spec, dataset.time)
         self.data = (dataset, build_risk_index(dataset), basis)
         self._latest = None  # (wants, report) of the latest pass, of any kind
+        self.unit_accepted = True  # the latest line search accepted its unit step
 
     def latest_at(self, theta) -> lk.LikelihoodReport | None:
         """The latest pass, when it was made at theta."""
@@ -360,7 +367,8 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
         def move(theta):
             if drawn is None:
                 return None  # eventless draw: no usable score this iteration
-            rep = lk.evaluate_report(*drawn, theta, want_blocks=True)
+            work, _, basis = problem.data
+            rep = lk.evaluate_report(work, drawn, basis, theta, want_blocks=True)
             p_star, c_star, direction = _best_block(rep, config.ridge)
             if c_star < config.tol:
                 return None  # no ascent direction on this draw
@@ -376,11 +384,12 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
     """Block-selected ascent fit of the coefficient matrix.
 
     Per iteration: evaluate the gradient and the P diagonal Hessian blocks
-    (on an eta-subsample when configured), pick p* = argmax_p c_p (ties to
-    the smallest index), and move that block by ``nu`` times its ridged
-    Newton direction.  Stops when max_p c_p < tol, when the relative
-    change of the full-data log likelihood falls below tol per update, or
-    at max_iterations.  With subsampling, a draw whose max_p c_p is below
+    (on an eta-subsample when configured: the drawn rows of the fitted
+    data, read in place through a risk index of their own), pick
+    p* = argmax_p c_p (ties to the smallest index), and move that block by
+    ``nu`` times its ridged Newton direction.  Stops when max_p c_p < tol,
+    when the relative change of the full-data log likelihood falls below
+    tol per update, or at max_iterations.  With subsampling, a draw whose max_p c_p is below
     tol makes no update and has no score test, and the fitting loop reads
     the full-data log likelihood only at the first iteration and after
     every 20 updates: the fit stops when the relative change since the
@@ -401,29 +410,28 @@ def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | No
 def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, unit_wants=None):
     """Armijo backtracking from unit step; returns (new_theta, new_ll, step) or None.
 
-    Halved steps are evaluated by loglik-only passes, and so is the unit step
-    unless ``unit_wants`` names the pass it gets instead: the pass that the
-    method's next evaluation reuses when the step is accepted.
+    Halved steps are evaluated by loglik-only passes.  ``unit_wants`` names
+    the pass that the method's next evaluation reuses when the unit step is
+    accepted; the unit step gets that pass while the problem's previous
+    line search accepted its unit step, and a loglik-only pass otherwise,
+    so that a failing run of steps wastes no such pass after the first.
     """
     step = 1.0
     for _ in range(MAX_HALVINGS):
         cand = theta + step * direction
-        if unit_wants and step == 1.0:
+        if unit_wants and problem.unit_accepted and step == 1.0:
             ll_new = problem.report(cand, **unit_wants).loglik
         else:
             ll_new = problem.loglik(cand)
         if ll_new >= ll0 + ARMIJO_C * step * g_dot_d:
+            problem.unit_accepted = step == 1.0
             return cand, ll_new, step
         step *= ARMIJO_SHRINK
+    problem.unit_accepted = False
     return None  # numerically zero step; caller treats as no movement
 
 
 def _newton_step(problem: _Problem, config: MmsaConfig):
-    # a full pass at the unit step is wasted when the step fails Armijo, so
-    # it is made only while the previous iteration's unit step was accepted
-    full = {"want_full": True}
-    unit_wants = full
-
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
         # move holds only what it reads, so the report is freed with the next pass
@@ -431,11 +439,9 @@ def _newton_step(problem: _Problem, config: MmsaConfig):
         gnorm = np.abs(g).max()
 
         def move(theta):
-            nonlocal unit_wants
             flat_dir, _ = _ridged_solve(-H, g, config.ridge, "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
-                               float(g @ flat_dir), ll, unit_wants)
-            unit_wants = full if moved is not None and moved[2] == 1.0 else None
+                               float(g @ flat_dir), ll, {"want_full": True})
             if moved is None:
                 return None  # relative-change stop fires next iteration
             return moved[0], -1, float(gnorm)
@@ -463,11 +469,6 @@ def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | 
 
 
 def _coordinate_step(problem: _Problem, config: MmsaConfig):
-    # as in Newton: while the previous unit step was accepted, the unit step
-    # gets the blocks pass that the next coordinate reuses when it passes
-    blocks = {"want_blocks": True}
-    unit_wants = blocks
-
     def step(theta, m, ll_prev):
         # a blocks pass, which the first coordinate's report then reuses
         rep = problem.report(theta, want_blocks=True)
@@ -475,7 +476,6 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
         gnorm = np.abs(g).max()
 
         def move(theta):
-            nonlocal unit_wants
             P, K = theta.shape
             ll_cur = ll
             for p in range(P):
@@ -493,8 +493,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
                     direction = np.zeros_like(theta)
                     direction[p, k] = d_pk
                     moved = _backtrack(problem, theta, direction, g_pk * d_pk, ll_cur,
-                                       unit_wants)
-                    unit_wants = blocks if moved is not None and moved[2] == 1.0 else None
+                                       {"want_blocks": True})
                     if moved is not None:
                         theta, ll_cur, _ = moved
             return theta, -1, float(gnorm)

@@ -552,6 +552,34 @@ def test_loglik_pass_holds_one_chunk_of_predictors():
     assert chunk <= peak < 1.75 * chunk
 
 
+def test_blocks_pass_holds_one_moment_array():
+    # the covariates and their squares are written once, into one n x 2P
+    # moment array; beside it the pass holds U (n x (K + 1)) and one chunk
+    # of at most m n predictors, m = 20 event times here, together under
+    # half of it, where a concatenated copy of the moments would add half again
+    n, P, K = 2000, 64, 5
+    rng = np.random.default_rng(27)
+    ds = tv.SurvivalDataset(
+        time=rng.integers(1, 21, n).astype(float), status=rng.random(n) < 0.7,
+        stratum=np.zeros(n, dtype=np.int64), stratum_labels=("s",),
+        covariates=rng.standard_normal((n, P)),
+        covariate_names=tuple(f"x{p}" for p in range(P)))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = rng.normal(0, 0.05, (P, K))
+    (s,) = index.strata
+    assert s.dt.size <= 20
+    moments = 8 * n * 2 * P
+    tracemalloc.start()
+    try:
+        evaluate_report(ds, index, basis, theta, want_blocks=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moments <= peak < 1.5 * moments
+
+
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
 def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
     # the chunk width is _CHUNK_TIMES at every stratum size: an entry budget

@@ -439,6 +439,69 @@ class TestStochasticCheckWindow:
             np.testing.assert_array_equal(fit.theta, checks[n_checks][0])
 
 
+def drawn_rows(n, config, iteration):
+    """The sorted rows that stochastic MMSA draws at ``iteration``."""
+    k = min(n, max(1, int(round(config.subsample_fraction * n))))
+    gen = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, iteration]))
+    return np.sort(gen.choice(n, size=k, replace=False))
+
+
+class TestDraws:
+    """A draw indexes the fit's own rows: no data copy and no sort per draw."""
+
+    def test_a_draws_index_is_the_index_of_the_drawn_rows(self):
+        # the draw's index, mapped back through the drawn rows, equals the
+        # index built from a copy of them, and so does its blocks pass
+        ds, _, basis, index = make_instance(41, n=90, P=2, K=3, J=3)
+        config = MmsaConfig(subsample_fraction=0.15, seed=5)
+        theta = np.random.default_rng(29).normal(0, 0.3, (2, 3))
+        eventless_stratum = 0
+        for iteration in range(1, 30):
+            rows = drawn_rows(ds.n, config, iteration)
+            drawn = optimizers._subsample((ds, index, basis), config, iteration)
+            if not ds.status[rows].any():
+                assert drawn is None
+                continue
+            sub = ds.subset(rows)
+            built = tv.build_risk_index(sub)
+            assert len(drawn.strata) == len(built.strata)
+            eventless_stratum += len(built.strata) < len(np.unique(sub.stratum))
+            for got, want in zip(drawn.strata, built.strata):
+                assert np.array_equal(got.order, rows[want.order])
+                assert np.array_equal(got.event_rows, rows[want.event_rows])
+                for name in ("dt", "L", "d", "Xs", "SX", "event_starts", "event_group"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            sub_basis = tv.BasisMatrix(times=basis.times[rows], values=basis.values[rows])
+            got = evaluate_report(ds, drawn, basis, theta, want_blocks=True)
+            want = evaluate_report(sub, built, sub_basis, theta, want_blocks=True)
+            assert got.loglik == want.loglik
+            assert np.array_equal(got.gradient, want.gradient)
+            assert np.array_equal(got.block_hessians, want.block_hessians)
+        assert eventless_stratum >= 1
+
+    def test_a_stochastic_fit_sorts_once_and_copies_no_data(self, monkeypatch):
+        ds, spec, _, _ = make_instance(19, n=120, P=2, K=3, J=3)
+        made = {"sort": 0, "dataset": 0, "basis": 0}
+
+        def spy(owner, name, key):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                made[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        for name in ("sort", "argsort", "lexsort"):
+            spy(np, name, "sort")
+        spy(tv.SurvivalDataset, "__post_init__", "dataset")
+        spy(tv.BasisMatrix, "__post_init__", "basis")
+        fit = tv.mmsa_fit(ds, spec, MmsaConfig(subsample_fraction=0.3, seed=4,
+                                               max_iterations=60))
+        assert fit.iterations >= 50
+        # the fit's one risk index sorts each of the 3 strata once; the
+        # standardized dataset and its basis are the only copies of the data
+        assert made == {"sort": 3, "dataset": 1, "basis": 1}
+
+
 # full-data MMSA moves on make_instance(19, n=80) for hundreds of updates;
 # its first 25 are enough to compare
 @pytest.mark.parametrize("name, cap", [("newton", None), ("coordinate", None), ("mmsa", 25)])
