@@ -38,14 +38,11 @@ stratum: its band grows with the width, and every entry of the band is
 exponentiated only for the mask to discard it.  The predictors are formed
 on the K side: with ``U = Xs Theta`` (n_j x K), made once per stratum, a
 chunk's predictors are ``B_g U'``, whose inner dimension is K, not P.
-The same product shifts them for stable exponentials.  B-spline rows are
-non-negative, so ``hi_g = B_g' max_{i in R(g)} U_i`` (a columnwise max over
-the risk set, from prefix maxima) bounds every predictor of risk set g from
-above; with ``-hi_g`` appended to ``B_g`` and a column of ones to ``U`` the
-GEMM returns the shifted predictors, and no row max or subtraction runs.  A
-chunk whose sum S still falls below 1e-250, which takes predictors that
-spread by more than about 575 within one risk set, is made again with the
-exact max as its shift.
+Each chunk is exponentiated unshifted, so no row max or subtraction runs
+where its risk-set sums S all lie in [1e-250, 1e250].  A chunk whose S
+leave that range, which takes a predictor above about 575 or a risk set
+whose predictors all lie below about -575, is made again with each risk
+set's exact max as its shift.
 Where U is all zero, as at every fit's start Theta = 0, each risk weight is
 exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and the
 pass makes no GEMM and no exponential.  Every pass that computes first
@@ -107,7 +104,7 @@ __all__ = [
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
 _CHUNK_ENTRIES = 1 << 18   # entries per GEMM row chunk: 2 MiB of float64
-_S_FLOOR = 1e-250          # a chunk's risk-set sums below this are made again with the exact max
+_S_FLOOR = 1e-250          # a chunk's risk-set sums outside [_S_FLOOR, 1 / _S_FLOOR]: made again
 
 
 def as_matrix(theta, P: int, K: int) -> np.ndarray:
@@ -176,42 +173,30 @@ class ScoreResiduals:
 
 
 def _factors(s, basis_values, Theta):
-    """A stratum's factors of its linear predictors, shifted by a bound.
+    """A stratum's factors of its linear predictors.
 
-    Returns ``Bg`` (m x (K+1)) and ``U`` (n x (K+1)).  ``Bg[:, :K]`` holds
-    the basis rows of the m distinct event times and ``U[:, :K] = Xs Theta``,
-    so the linear predictors are ``Bg[:, :K] U[:, :K]'``, with inner
-    dimension K.  The last columns hold ``-hi`` and ones, so ``Bg U'`` are
-    the predictors minus ``hi_g = Bg_g . max_{i in R(g)} U_i``, an upper
-    bound of risk set g's predictors wherever the basis row is non-negative.
-    A non-finite U is left for the pass to report by subject.
+    Returns ``Bg`` (m x K), the basis rows of the m distinct event times,
+    and ``U = Xs Theta`` (n x K), so the linear predictors are ``Bg U'``,
+    with inner dimension K.  A non-finite U is left for the pass to report
+    by subject.
     """
-    m, K = s.dt.size, Theta.shape[1]
-    U = np.empty((s.order.size, K + 1))
-    Bg = np.empty((m, K + 1))
     # tied events share a time, hence identical basis rows; take the first
-    Bg[:, :K] = basis_values[s.event_rows[s.event_starts[:-1]]]
+    Bg = basis_values[s.event_rows[s.event_starts[:-1]]]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(s.Xs, Theta, out=U[:, :K])
-        U[:, K] = 1.0
-        # the max of U over each event time's new rows, then over every risk set
-        top = np.maximum.reduceat(U[:s.L[-1], :K], np.r_[0, s.L[:-1]], axis=0)
-        np.maximum.accumulate(top, axis=0, out=top)
-        Bg[:, K] = -np.einsum("gk,gk->g", Bg[:, :K], top)
-    return Bg, U
+        return Bg, s.Xs @ Theta
 
 
 def _risk_set_pass(s, Bg, U, A=None, spread=None):
     """Risk-set log denominators and weighted means for one stratum.
 
-    ``Bg`` (m x (K+1)) and ``U`` (n x (K+1)) are the factors from
-    ``_factors``: ``Bg U'`` are the linear predictors shifted by the bound
-    ``hi = -Bg[:, K]``.  ``A``, if given, is the moment array, with one row
-    per subject in ``s.order``.  Returns ``log S_g + shift_g`` for every
-    event time g, where S_g sums the shifted exponentials over the risk set
-    ``order[:L[g]]`` and shift_g is hi_g, or the largest predictor in the
-    risk set for a chunk whose sums the bound leaves below ``_S_FLOOR``; and
-    the (m x A.shape[1]) risk-weighted means ``E'A / S`` (m x 0 without A).
+    ``Bg`` (m x K) and ``U`` (n x K) are the factors from ``_factors``:
+    ``Bg U'`` are the linear predictors.  ``A``, if given, is the moment
+    array, with one row per subject in ``s.order``.  Returns ``log S_g +
+    shift_g`` for every event time g, where S_g sums the shifted
+    exponentials over the risk set ``order[:L[g]]`` and shift_g is 0, or
+    the largest predictor in the risk set for a chunk whose unshifted sums
+    leave ``[_S_FLOOR, 1 / _S_FLOOR]``; and the (m x A.shape[1])
+    risk-weighted means ``E'A / S`` (m x 0 without A).
     S is always its own product ``E @ ones``, whatever ``A`` holds, so the
     log denominators do not depend on the moments requested; the moments
     come from one ``E @ A``, and without A from no product.
@@ -219,10 +204,10 @@ def _risk_set_pass(s, Bg, U, A=None, spread=None):
     event time and one row per subject: each row of W is spread over its
     risk set by the risk weights, ``C += E (W / S)``.  Every chunk's
     predictors are written into one buffer, so the pass holds one chunk.
-    Where ``U[:, :K]`` is all zero, ``_uniform_pass`` gives the same
-    outputs in closed form.
+    Where ``U`` is all zero, ``_uniform_pass`` gives the same outputs in
+    closed form.
     """
-    if not U[:, :-1].any():
+    if not U.any():
         return _uniform_pass(s, A, spread)
     return _chunk_loop(s, Bg, U, A, spread)
 
@@ -240,15 +225,17 @@ def _chunk_loop(s, Bg, U, A, spread):
             rows, lo = s.L[b - 1], s.L[a]
             out = buf[:(b - a) * rows].reshape(b - a, rows)
             outside = np.arange(lo, rows) >= s.L[a:b, None]
-            # one event time per row, shifted by its bound: masked entries exp(-inf) = 0
+            # one event time per row, unshifted: masked entries exp(-inf) = 0
             eta = np.matmul(Bg[a:b], U[:rows].T, out=out)
             eta[:, lo:rows][outside] = -np.inf
             E = np.exp(eta, out=eta)
             S = E @ ones[:rows]
-            shift = -Bg[a:b, -1]
-            if not np.all((S >= _S_FLOOR) & (S < np.inf)):
-                # a bound too loose, or a non-finite predictor: shift by the exact max
-                eta = np.matmul(Bg[a:b, :-1], U[:rows, :-1].T, out=out)
+            shift = 0.0
+            # every weight is at most S, so within the range E @ A overflows
+            # only for moments beyond about 1e58
+            if not np.all((S >= _S_FLOOR) & (S <= 1 / _S_FLOOR)):
+                # sums out of range, or a non-finite predictor: shift by the exact max
+                eta = np.matmul(Bg[a:b], U[:rows].T, out=out)
                 finite = np.all(np.isfinite(eta), axis=0)
                 if not finite.all():
                     row = s.order[np.flatnonzero(~finite)[0]]
@@ -317,17 +304,16 @@ def _physical_memory() -> int | None:
 def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     """Bytes of the largest arrays a full-Hessian pass holds at once.
 
-    Counted at the largest stratum: the vector of ones and U with its column
-    of ones (n x (K+1)), Bg with its bound column and the prefix maxima (m x
-    (K+1) and m x K), the one buffer of linear predictors that every chunk
-    reuses and its band mask at a byte an entry (at most ``_CHUNK_TIMES``
-    event times, so at most 32 n entries each), Hf and one Hf-sized
-    addition to it, the risk-set means the report keeps for every stratum
-    (m x P each), and for each form its own arrays (see the comments
-    below).  Each stratum's arrays are released before the next stratum's
-    pass, so they are counted once.  The separable form is counted with all
-    K(K+1)/2 basis pairs; it spreads only the pairs that overlap at some
-    event time, so its count is an upper bound.
+    Counted at the largest stratum: the vector of ones, U (n x K), Bg (m x
+    K), the one buffer of linear predictors that every chunk reuses and its
+    band mask at a byte an entry (at most ``_CHUNK_TIMES`` event times, so
+    at most 32 n entries each), Hf and one Hf-sized addition to it, the
+    risk-set means the report keeps for every stratum (m x P each), and for
+    each form its own arrays (see the comments below).  Each stratum's
+    arrays are released before the next stratum's pass, so they are counted
+    once.  The separable form is counted with all K(K+1)/2 basis pairs; it
+    spreads only the pairs that overlap at some event time, so its count is
+    an upper bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
@@ -345,7 +331,7 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
         # contract it with
         entries = n * (P + pairs) + m * (P + 2 * pairs + K * K)
     chunk = min(_CHUNK_TIMES, m) * n
-    return 8 * (entries + n * (2 + K) + m * (2 * K + 1) + chunk + 2 * (P * K) ** 2
+    return 8 * (entries + n * (1 + K) + m * K + chunk + 2 * (P * K) ** 2
                 + kept) + chunk
 
 
@@ -405,8 +391,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         second = np.zeros((P * ku[0].size, P))
 
     for s in index.strata:
-        factors = _factors(s, basis.values, Theta)
-        Bg = factors[0][:, :K]
+        Bg, U = _factors(s, basis.values, Theta)
         d = s.d
         A = None if G is None else s.Xs
         if pairs is not None:
@@ -418,7 +403,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
                 np.multiply(s.Xs[:, p], s.Xs[:, q], out=A[:, P + c])
         C = np.zeros((s.order.size, ku[0].size)) if separable else None
         spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C) if separable else None
-        lse, means = _risk_set_pass(s, *factors, A, spread)
+        lse, means = _risk_set_pass(s, Bg, U, A, spread)
         A = None  # released before the means are read
         ll += float((s.SX * (Bg @ Theta.T)).sum() - (d * lse).sum())
         if means.shape[1]:  # the pass computed first moments
@@ -436,7 +421,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             ZB = (Zbar[:, :, None] * (Bg * np.sqrt(d)[:, None])[:, None, :]).reshape(-1, P * K)
             Hf += ZB.T @ ZB
         # released before the next stratum's pass allocates its own
-        factors = Bg = lse = C = spread = means = W = ZB = None
+        Bg = U = lse = C = spread = means = W = ZB = None
 
     if separable:
         T = ku[0].size

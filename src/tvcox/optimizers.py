@@ -477,7 +477,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
 
         def move(theta):
             P, K = theta.shape
-            ll_cur = ll
+            ll_cur, start = ll, theta
             for p in range(P):
                 for k in range(K):
                     rep_pk = problem.report(theta, want_blocks=True)
@@ -496,6 +496,8 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
                                        {"want_blocks": True})
                     if moved is not None:
                         theta, ll_cur, _ = moved
+            if theta is start:
+                return None  # no line search accepted a step, as in Newton
             return theta, -1, float(gnorm)
         return gnorm, move
     return step, 0
@@ -508,9 +510,11 @@ def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
 
     Each coordinate takes a 1-D ridged Newton step with Armijo
     backtracking; stopping matches newton_fit per full cycle.  One trace
-    entry is recorded per cycle.  As in newton_fit, the unit step gets the
-    blocks pass that the next coordinate reuses when it is accepted, while
-    the previous unit step was accepted, and a loglik-only pass otherwise.
+    entry is recorded per cycle that moves some coordinate; a cycle whose
+    line searches all fail makes no update, as a failed Newton step does.
+    As in newton_fit, the unit step gets the blocks pass that the next
+    coordinate reuses when it is accepted, while the previous unit step was
+    accepted, and a loglik-only pass otherwise.
     """
     return _drive("coordinate", _coordinate_step, dataset, spec, config, init_theta,
                   do_standardize)

@@ -603,13 +603,12 @@ def _predictors_computed(s, M):
 
     class Recorded(np.ndarray):
         def __getitem__(self, key):
-            if isinstance(key, slice):  # a chunk's rows; a tuple key picks columns
+            if isinstance(key, slice):  # a chunk's rows
                 reads[self.name].append(key)
             return np.asarray(self)[key]
 
-    # Bg = [M, 0] and U = [Xs, 1] give the predictors M Xs', with a zero shift
-    Bg = np.hstack([M, np.zeros((M.shape[0], 1))]).view(Recorded)
-    U = np.hstack([s.Xs, np.ones((s.Xs.shape[0], 1))]).view(Recorded)
+    # Bg = M and U = Xs give the predictors M Xs'
+    Bg, U = M.view(Recorded), s.Xs.view(Recorded)
     Bg.name, U.name = "Bg", "U"
     spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L)
     likelihood_module._risk_set_pass(spy, Bg, U)
@@ -649,45 +648,82 @@ def test_full_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatch)
     evaluate_report(ds, index, basis, theta, want_full=True)
 
 
+def test_full_pass_without_a_memory_size_runs(monkeypatch):
+    # where the platform does not say how much memory it has, the pass is
+    # not limited by it: a full pass that any limit of 1 kB would refuse runs
+    ds, spec, basis, index = make_instance(201, n=40, P=2, K=3)
+    assert likelihood_module._full_pass_bytes(index, 2, 3, False) > 1 << 10
 
-# A linear basis B(u) = (1 - u, u) on [0, 1], covariate x0 = +-1 and
-# coefficients c (1, -1) on it: the predictors are about c x0 (1 - 2u), so
-# at event times u in (0.33, 0.42) they spread by 640-1360 within a risk
-# set, while the bound hi_g = B_g . (columnwise max of U) is about c.  Where
-# a risk set holds both signs of x0, that is more than 745 above every
-# predictor, and the bound's exponentials all underflow to zero.  Every predictor stays below 709, so the oracles' unshifted
-# exponentials stay finite.
-def _loose_bound_instance(P, c=2000.0, n=40, seed=231):
+    def raises(name):
+        raise ValueError(f"unknown configuration name {name}")
+    monkeypatch.setattr(likelihood_module.os, "sysconf", raises)
+    assert likelihood_module._physical_memory() is None
+    rep = evaluate_report(ds, index, basis, np.zeros((2, 3)), want_full=True)
+    assert np.isfinite(rep.full_hessian).all()
+
+
+# A linear basis B(u) = (1 - u, u) on [0, 1] and event times u in (0.33,
+# 0.42): three ways for a chunk's unshifted risk-set sums S to leave
+# [1e-250, 1e250], each with every predictor in (-700, 709), where the
+# oracles' unshifted exponentials stay finite and normal.
+# - overflow: covariate x0 = +-1 and coefficients 2000 (1, -1) on it give
+#   predictors of about 2000 x0 (1 - 2u), up to +-680, and sums up to about
+#   6e292, far above the ceiling;
+# - underflow: x0 in (0.9, 1) and coefficients -700 (1, 1) put every
+#   predictor of every risk set below -575, so every sum is below 1e-250;
+# - near the ceiling: coefficients 354.4 (1, 1) on x0, x0 = 2 for one
+#   subject (its other covariates 0) and about 0.01 for the rest: its
+#   predictor is 708.8 and the others' within about 10 of 0.  Every sum stays
+#   finite, below 1e308, but x0^2 e^708.8, its weighted pair product,
+#   overflows, so that without the ceiling the Hessians would not be finite.
+#   With x0 = 2 the risk-set variances, which the subject's weight nearly
+#   cancels to zero, lose little to rounding; the two forms of the full
+#   Hessian agree with the blocks to 1e-12.
+def _out_of_range_instance(kind, P, n=40, seed=231):
     rng = np.random.default_rng(seed)
     X = np.column_stack([rng.choice([-1.0, 1.0], n), rng.standard_normal((n, P - 1))])
-    ds = tv.SurvivalDataset(time=rng.uniform(0.33, 0.42, n), status=(rng.random(n) < 0.7),
+    time, status = rng.uniform(0.33, 0.42, n), rng.random(n) < 0.7
+    theta = np.vstack([[2000.0, -2000.0], rng.normal(0, 0.3, (P - 1, 2))])
+    if kind == "underflow":
+        X[:, 0], theta[0] = rng.uniform(0.9, 1.0, n), -700.0
+    elif kind == "near-ceiling":
+        big = np.argsort(time)[n // 2]  # at risk at about half the event times
+        X[:, 0], theta[0] = rng.normal(0, 0.01, n), 354.4
+        X[big] = np.r_[2.0, np.zeros(P - 1)]
+    ds = tv.SurvivalDataset(time=time, status=status,
                             stratum=np.zeros(n, dtype=np.int64), stratum_labels=("s",),
                             covariates=X, covariate_names=tuple(f"x{p}" for p in range(P)))
     spec = tv.SplineSpec(degree=1, interior=np.array([]), domain=(0.0, 1.0))
-    theta = np.vstack([[c, -c], rng.normal(0, 0.3, (P - 1, 2))])
     return ds, tv.evaluate_batch(spec, ds.time), tv.build_risk_index(ds), theta
 
 
+@pytest.mark.parametrize("kind", ["overflow", "underflow", "near-ceiling"])
 @pytest.mark.parametrize("P", [2, 3])  # K = 2: the product and the separable full Hessian
-def test_loose_bound_falls_back_to_the_exact_max(P):
-    ds, basis, index, theta = _loose_bound_instance(P)
+def test_sums_out_of_range_are_made_again_with_the_exact_max(P, kind):
+    ds, basis, index, theta = _out_of_range_instance(kind, P)
     (s,) = index.strata
-    Bk, U = likelihood_module._factors(s, basis.values, theta)
-    eta = Bk[:, :-1] @ U[:, :-1].T
+    Bg, U = likelihood_module._factors(s, basis.values, theta)
+    eta = Bg @ U.T
     in_risk_set = np.arange(s.order.size) < s.L[:, None]
     top = np.where(in_risk_set, eta, -np.inf).max(axis=1)
-    low = np.where(in_risk_set, eta, np.inf).min(axis=1)
-    assert (top - low).max() > 600 and np.abs(eta).max() < 700
-    assert (-Bk[:, -1] - top).max() > 745  # some risk set's exp(predictor - hi_g) are all 0
+    S = np.where(in_risk_set, np.exp(eta), 0.0).sum(axis=1)
+    assert -700 < eta.min() and eta.max() < 709
+    if kind == "overflow":
+        assert S.max() > 1e290
+    elif kind == "underflow":
+        assert top.max() < -575 and S.max() < 1e-250
+    else:
+        assert np.isfinite(S).all()
+        assert top.max() + np.log((s.Xs ** 2).max()) > np.log(np.finfo(float).max)
 
-    lls = {kind: evaluate_report(ds, index, basis, theta, **kw).loglik
-           for kind, kw in PASS_KINDS.items()}
+    lls = {name: evaluate_report(ds, index, basis, theta, **kw).loglik
+           for name, kw in PASS_KINDS.items()}
     assert len(set(lls.values())) == 1, lls
     rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
     assert rep.loglik == pytest.approx(brute_loglik(ds, basis.values, theta), rel=1e-12)
-    # the log likelihood is about -1e4 here, so finite differences of it lose
-    # about 1e-6 to rounding: the brute-force residuals, which sum to the
-    # gradient, are the oracle for it
+    # the log likelihood is up to about -1e4 here, so finite differences of
+    # it lose about 1e-6 to rounding: the brute-force residuals, which sum to
+    # the gradient, are the oracle for it
     order, psi = brute_score_residuals(ds, basis.values, theta)
     np.testing.assert_allclose(rep.gradient, psi.sum(axis=0), rtol=1e-10, atol=1e-10)
     res = tv.score_residuals(ds, index, basis, theta)

@@ -287,6 +287,8 @@ class TestFitResult:
             MmsaConfig(tol=-1e-6)
         with pytest.raises(ValueError):
             MmsaConfig(max_iterations=0)
+        with pytest.raises(ValueError):
+            MmsaConfig(ridge=-1e-8)
 
 
 # each optimizer converges on make_instance(19) in well under a second at the
@@ -300,6 +302,17 @@ def test_reported_loglik_is_at_the_returned_theta(name, capped):
     assert fit.converged is not capped
     work, _ = tv.standardize(ds)
     assert fit.loglik == pytest.approx(full_loglik(work, spec, fit.theta), abs=1e-12)
+
+
+# with no halvings allowed every line search fails: an iteration that
+# moves no coordinate is no update, for coordinate ascent as for Newton
+@pytest.mark.parametrize("name", ["coordinate", "newton"])
+def test_a_line_search_that_moves_nothing_makes_no_update(name, monkeypatch):
+    monkeypatch.setattr(optimizers, "MAX_HALVINGS", 0)
+    ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+    fit = fit_by_name(name)(ds, spec)
+    assert fit.iterations == 0 and fit.trace == []
+    assert not fit.theta.any()
 
 
 class TestAscentCertificate:
@@ -335,6 +348,22 @@ class TestAscentCertificate:
             ll_next = evaluate_report(ds, index, basis, theta_next,
                                       want_gradient=False).loglik
             assert surrogate <= ll_next + 1e-10
+
+    def test_indefinite_or_flat_block_is_not_certified(self):
+        # a block whose negated Hessian is not positive definite, or whose
+        # gradient is zero (c_p = 0), leaves H singular
+        ds, spec, basis, index = make_instance(17, n=60, P=2, K=3)
+        rep = evaluate_report(ds, index, basis, np.zeros((2, 3)), want_blocks=True)
+        theta_next = 1e-4 * np.ones((2, 3))
+        assert verify_ascent_condition(ds, index, basis, rep, theta_next, nu=1e-4)
+        indefinite = rep.block_hessians.copy()
+        indefinite[1] = np.diag([-1.0, 1.0, -1.0])
+        flat = rep.gradient.copy()
+        flat[:3] = 0.0
+        for changed in (dict(block_hessians=indefinite), dict(gradient=flat)):
+            assert not verify_ascent_condition(ds, index, basis,
+                                               dataclasses.replace(rep, **changed),
+                                               theta_next, nu=1e-4)
 
     def test_requires_derivatives(self, d0):
         ds, spec = d0
