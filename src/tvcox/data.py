@@ -10,6 +10,7 @@ one denominator, so they are grouped by distinct event time.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -345,13 +346,24 @@ def _load_csv_cells(path) -> SurvivalDataset:
 
 
 def write_csv(path, dataset: SurvivalDataset, header_comments=()) -> None:
-    """Write a dataset in the load_csv column layout, deterministically."""
+    """Write a dataset in the load_csv column layout, deterministically.
+
+    Each stratum label is quoted once by ``csv.writer`` as a mid-row field,
+    then every row is formatted with one format string: the bytes are those
+    of a ``csv.writer`` row per subject, as numbers need no quoting.
+    """
+    labels = []
+    for label in dataset.stratum_labels:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([label, "x"])
+        labels.append(buf.getvalue()[:-len(",x\n")])
+    row = "%.17g,%d,%s" + ",%.17g" * dataset.P + "\n"
+    rows = zip(dataset.time.tolist(), dataset.status.tolist(),
+               [labels[s] for s in dataset.stratum.tolist()],
+               *dataset.covariates.T.tolist())
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "status", "stratum", *dataset.covariate_names])
-        for i in range(dataset.n):
-            w.writerow([f"{dataset.time[i]:.17g}", int(dataset.status[i]),
-                        dataset.stratum_labels[dataset.stratum[i]],
-                        *(f"{v:.17g}" for v in dataset.covariates[i])])
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["time", "status", "stratum", *dataset.covariate_names])
+        fh.write("".join(row % r for r in rows))

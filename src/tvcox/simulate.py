@@ -13,8 +13,10 @@ C ~ Uniform(0, 3):
   beta_2(t) = gamma sin(3 pi t / 4); gamma = 0 is the constancy null.
 
 Death times invert the cumulative hazard by bisection on a fine trapezoid
-grid; draws are capped at the censoring horizon, where they can only be
-observed censored anyway.
+grid.  The grid is scanned in blocks of columns, and each subject leaves
+the scan at the cell where its cumulative hazard reaches its target, so
+no array grows with grid points times subjects.  Draws are capped at the
+censoring horizon, where they can only be observed censored anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ BASELINE_HAZARD = 0.5
 CENSOR_HORIZON = 3.0
 HAZARD_GRID_STEP = 1e-3
 INVERSION_TOL = 1e-8
+_SCAN_BLOCK = 64  # grid columns per block of the crossing scan
 METRIC_GRID = np.linspace(0.05, 2.8, 100)
 
 _TV_TAGS = ("sin_tv", "poly_exp_tv", "gamma_sin_tv")
@@ -161,16 +164,70 @@ def _hazard_at(X: np.ndarray, tags, gamma: float, t: np.ndarray) -> np.ndarray:
     return BASELINE_HAZARD * np.exp(eta)
 
 
+def _scan_crossings(X: np.ndarray, betas: np.ndarray, tau: np.ndarray):
+    """Find where each subject's cumulative hazard on the grid reaches tau.
+
+    The grid is scanned in blocks of ``_SCAN_BLOCK`` columns.  A block holds
+    (columns x subjects) with row 0 repeating the previous block's last
+    column, and only the subjects still below tau enter it.  The running
+    sum adds one column's trapezoid terms at a time, the additions of a
+    row-wise cumsum in the same order.  Every term is >= 0, so Lambda never
+    decreases and the first column at or above tau is one past the count
+    of columns below it.
+
+    Returns that column j (at least 1), Lambda and lambda at column j - 1,
+    and ``beyond``: Lambda stays below tau at the grid end, where j is the
+    last column.
+    """
+    n, G = X.shape[0], betas.shape[1]
+    j = np.full(n, G - 1)
+    Lam_left, lam_left = np.empty(n), np.empty(n)
+    beyond = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    Lam_carry = np.zeros(n)
+    for c0 in range(1, G, _SCAN_BLOCK):
+        tau_a = tau[active]
+        lam = np.matmul(betas[:, c0 - 1:c0 + _SCAN_BLOCK].T, X[active].T)
+        np.exp(lam, out=lam)
+        lam *= BASELINE_HAZARD
+        Lam = np.empty_like(lam)
+        Lam[0] = Lam_carry
+        np.add(lam[1:], lam[:-1], out=Lam[1:])
+        Lam[1:] *= HAZARD_GRID_STEP / 2
+        for r in range(1, Lam.shape[0]):
+            Lam[r] += Lam[r - 1]
+        crossed = Lam[-1] >= tau_a
+        cols = np.flatnonzero(crossed)
+        k = 1 + np.count_nonzero(Lam[1:, cols] < tau_a[cols], axis=0)
+        j[active[cols]] = c0 - 1 + k
+        Lam_left[active[cols]] = Lam[k - 1, cols]
+        lam_left[active[cols]] = lam[k - 1, cols]
+        keep = ~crossed
+        active = active[keep]
+        if not active.size:
+            break
+        Lam_carry = Lam[-1, keep]
+    else:  # still below tau at the grid end: bracket in its last cell
+        beyond[active] = True
+        Lam_left[active] = Lam[-2, keep]
+        lam_left[active] = lam[-2, keep]
+    return j, Lam_left, lam_left, beyond
+
+
 def draw_survival_times(X: np.ndarray, tags, gamma: float, u: np.ndarray, *,
                         grid_end: float = CENSOR_HORIZON,
                         cap: float | None = CENSOR_HORIZON) -> np.ndarray:
     """Death times solving Lambda(D) = -log u by grid bracketing + bisection.
 
-    The cumulative hazard is tabulated by trapezoid on a grid of step
-    1e-3; within the bracketing cell the inverse is bisected until
+    The cumulative hazard is summed by trapezoid on a grid of step 1e-3,
+    scanned in blocks of columns; each subject leaves the scan at the cell
+    where Lambda reaches its target, so memory stays a few MiB whatever
+    ``grid_end`` is.  Within that cell the inverse is bisected until
     |Lambda(D) + log u| < 1e-8.  Draws whose target exceeds Lambda at the
     grid end are set to ``cap`` (or to ``grid_end`` when uncapped; choose
-    ``grid_end`` large enough that this is negligible).
+    ``grid_end`` large enough that this is negligible).  Subjects go
+    through in chunks of 4096 rows: the bisection stops when a whole chunk
+    meets the tolerance, so the chunks fix every draw's last iterate.
     """
     n = X.shape[0]
     tau = -np.log(np.clip(u, 1e-300, None))  # u = 0 lands in the capped branch
@@ -180,20 +237,9 @@ def draw_survival_times(X: np.ndarray, tags, gamma: float, u: np.ndarray, *,
     D = np.empty(n)
     for start in range(0, n, 4096):
         rows = slice(start, min(start + 4096, n))
-        lam = BASELINE_HAZARD * np.exp(X[rows] @ betas)
-        Lam = np.concatenate(
-            [np.zeros((lam.shape[0], 1)),
-             np.cumsum((lam[:, 1:] + lam[:, :-1]) * (HAZARD_GRID_STEP / 2), axis=1)],
-            axis=1)
         tau_c = tau[rows]
-        beyond = Lam[:, -1] < tau_c
-        j = np.argmax(Lam >= tau_c[:, None], axis=1)
-        j[beyond] = Lam.shape[1] - 1
-        j = np.maximum(j, 1)
-        r = np.arange(lam.shape[0])
+        j, Lam_left, lam_left, beyond = _scan_crossings(X[rows], betas, tau_c)
         t_left = grid[j - 1]
-        Lam_left = Lam[r, j - 1]
-        lam_left = lam[r, j - 1]
         lo, hi = t_left.copy(), grid[j]
         mid = 0.5 * (lo + hi)
         for _ in range(64):

@@ -4,8 +4,9 @@ Everything here is written for clarity over speed and shares no code with
 the package internals: the log likelihood is a per-event loop with an
 explicit risk-set scan, derivatives come from finite differences of that
 loop, and the chi-square tail is a hand-rolled series / continued
-fraction.  Production outputs are compared against these, never against
-themselves.
+fraction, and survival times invert a cumulative hazard tabulated densely
+on the whole grid.  Production outputs are compared against these, never
+against themselves.
 """
 
 import math
@@ -150,3 +151,75 @@ def bisect_maximum(f, lo, hi, tol=1e-12):
         if b - a < tol:
             break
     return 0.5 * (a + b)
+
+
+def _effect(tag, t, gamma):
+    """The simulation's true effect beta(t) for one coefficient tag."""
+    if tag.startswith("constant:"):
+        return np.full_like(t, float(tag.split(":", 1)[1]))
+    if tag == "sin_tv":
+        return np.sin(3 * np.pi * t / 4)
+    if tag == "poly_exp_tv":
+        return -((t / 3.0) ** 2) * np.exp(t / 2.0)
+    if tag == "gamma_sin_tv":
+        return gamma * np.sin(3 * np.pi * t / 4)
+    raise ValueError(tag)
+
+
+def dense_survival_times(X, tags, gamma, u, *, grid_end=3.0, cap=3.0):
+    """Death times solving Lambda(D) = -log u, with the whole grid tabulated.
+
+    Hazard 0.5 exp(x' beta(t)); Lambda by trapezoid on a grid of step 1e-3,
+    every subject on every grid point, 4096 subjects at a time; the first
+    grid column with Lambda >= -log u brackets the draw, and bisection in
+    that cell stops once every draw of the 4096 is within 1e-8.  Returns
+    the draws and each draw's bracketing column j.
+    """
+    step, tol = 1e-3, 1e-8
+
+    def hazard(t_rows, rows):
+        eta = np.zeros(t_rows.shape)
+        for p, tag in enumerate(tags):
+            eta += X[rows, p] * _effect(tag, t_rows, gamma)
+        return 0.5 * np.exp(eta)
+
+    n = X.shape[0]
+    tau = -np.log(np.clip(u, 1e-300, None))
+    grid = np.arange(0.0, grid_end + step / 2, step)
+    betas = np.vstack([_effect(tag, grid, gamma) for tag in tags])
+    ceiling = grid_end if cap is None else cap
+    D = np.empty(n)
+    J = np.empty(n, dtype=np.intp)
+    for start in range(0, n, 4096):
+        rows = slice(start, min(start + 4096, n))
+        lam = 0.5 * np.exp(X[rows] @ betas)
+        Lam = np.concatenate(
+            [np.zeros((lam.shape[0], 1)),
+             np.cumsum((lam[:, 1:] + lam[:, :-1]) * (step / 2), axis=1)],
+            axis=1)
+        tau_c = tau[rows]
+        beyond = Lam[:, -1] < tau_c
+        j = np.argmax(Lam >= tau_c[:, None], axis=1)
+        j[beyond] = Lam.shape[1] - 1
+        j = np.maximum(j, 1)
+        r = np.arange(lam.shape[0])
+        t_left = grid[j - 1]
+        Lam_left = Lam[r, j - 1]
+        lam_left = lam[r, j - 1]
+        lo, hi = t_left.copy(), grid[j]
+        mid = 0.5 * (lo + hi)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lam_mid = hazard(mid, rows)
+            F = Lam_left + (mid - t_left) * (lam_left + lam_mid) / 2 - tau_c
+            if np.abs(F[~beyond]).max(initial=0.0) < tol:
+                break
+            takes_hi = F >= 0
+            hi = np.where(takes_hi, mid, hi)
+            lo = np.where(takes_hi, lo, mid)
+        D_c = mid
+        D_c[beyond] = ceiling
+        D_c[tau_c == 0.0] = 0.0
+        D[rows] = np.minimum(D_c, ceiling) if cap is not None else D_c
+        J[rows] = j
+    return D, J

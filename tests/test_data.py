@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,40 @@ def test_write_csv_comments_round_trip(tmp_path):
     assert path.read_text().startswith("# tool 0.1.0\n# config: {}\n")
     back = load_csv(path)
     assert back.n == ds.n
+
+
+def _write_csv_row_by_row(path, dataset, header_comments=()):
+    """write_csv as one csv.writer row per subject: the byte reference."""
+    with open(path, "w", newline="") as fh:
+        for line in header_comments:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["time", "status", "stratum", *dataset.covariate_names])
+        for i in range(dataset.n):
+            w.writerow([f"{dataset.time[i]:.17g}", int(dataset.status[i]),
+                        dataset.stratum_labels[dataset.stratum[i]],
+                        *(f"{v:.17g}" for v in dataset.covariates[i])])
+
+
+@pytest.mark.parametrize("P", [0, 1, 3])
+def test_write_csv_bytes_match_a_csv_writer_row_per_subject(P, tmp_path):
+    labels = ("", "a,b", 'q"x', "new\nline", "cr\r", " sp ", "\u00fc")
+    rng = np.random.default_rng(P)
+    n = 50
+    time = rng.exponential(1.0, n)
+    time[:3] = (0.0, 1e-300, 123456789.0)
+    status = np.arange(n) % 2
+    stratum = np.arange(n) % len(labels)
+    X = rng.standard_normal((n, P)) * 10.0 ** rng.integers(-20, 20, (n, P))
+    if P:
+        X[0, 0], X[1, -1] = -0.0, 1.0
+    ds = tv.SurvivalDataset(time, status, stratum, labels, X,
+                            tuple(f"c{p}" for p in range(P)))
+    comments = ("tool 0.1.0", 'config: {"out": "a,b"}')
+    for header in ((), comments):
+        write_csv(tmp_path / "fast.csv", ds, header_comments=header)
+        _write_csv_row_by_row(tmp_path / "ref.csv", ds, header_comments=header)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_standardize_hand_computed():

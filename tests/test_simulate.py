@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from tvcox.simulate import (
     true_beta,
     true_beta_matrix,
 )
+from tvcox.simulate import _SCAN_BLOCK
 from tvcox.splines import make_spec
+
+from reference import dense_survival_times
 
 # P(censored) when effects are all zero: D ~ Exp(0.5) against C ~ U(0, 3),
 # P(C <= D) = (1/3) int_0^3 exp(-c/2) dc = (2/3)(1 - exp(-3/2))
@@ -162,6 +166,61 @@ class TestInversion:
         ecdf = np.searchsorted(np.sort(D), ts, side="right") / n
         truth = 1.0 - np.exp(-0.5 * ts)
         assert np.abs(ecdf - truth).max() < eps
+
+
+class TestInversionOracle:
+    """The block scan against the dense grid it replaced, bit for bit."""
+
+    @staticmethod
+    def _generated(setting, P, n, seed=11):
+        spec = ScenarioSpec(setting=setting, n=n, P=P, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = draw_covariates(spec, rng)
+        return X, spec.coefficient_tags, spec.gamma, rng.random(n)
+
+    @pytest.mark.parametrize("setting, P", [(1, 1), (1, 4), (1, 7), (1, 40), (2, 1),
+                                            (2, 4), (2, 7), (2, 40), (3, 2)])
+    def test_generated_draws_match_the_dense_grid(self, setting, P):
+        # n around the 4096-row chunk; 9000 draws put crossings in the
+        # first and the last column of the scan's blocks
+        columns = []
+        for n in (1, 4095, 4096, 4097, 9000):
+            X, tags, gamma, u = self._generated(setting, P, n)
+            D_ref, j_ref = dense_survival_times(X, tags, gamma, u)
+            assert np.array_equal(draw_survival_times(X, tags, gamma, u), D_ref)
+            columns.append(j_ref)
+        at = (np.concatenate(columns) - 1) % _SCAN_BLOCK
+        assert np.any(at == 0) and np.any(at == _SCAN_BLOCK - 1)
+
+    def test_edge_targets_match_the_dense_grid(self):
+        X, tags, gamma, u = self._generated(1, 4, 300)
+        u[:3], u[3:6], u[6:9] = 0.0, 1.0, 1e-300
+        D_ref, _ = dense_survival_times(X, tags, gamma, u)
+        assert np.array_equal(draw_survival_times(X, tags, gamma, u), D_ref)
+
+    def test_vanishing_hazard_matches_the_dense_grid(self):
+        u = np.random.default_rng(7).random(200)
+        X = np.ones((200, 1))
+        D_ref, _ = dense_survival_times(X, ("constant:-700",), 0.0, u)
+        assert np.array_equal(draw_survival_times(X, ("constant:-700",), 0.0, u), D_ref)
+
+    def test_uncapped_long_grid_matches_the_dense_grid(self):
+        X, tags, gamma, u = self._generated(1, 4, 500)
+        with np.errstate(over="ignore"):  # the dense grid's late columns overflow exp
+            D_ref, _ = dense_survival_times(X, tags, gamma, u, grid_end=30.0, cap=None)
+        D = draw_survival_times(X, tags, gamma, u, grid_end=30.0, cap=None)
+        assert np.array_equal(D, D_ref)
+
+    def test_generate_memory_does_not_grow_with_the_grid(self):
+        # the dense grid held 4096 x 3001 floats per array, 367 MiB at peak
+        spec = ScenarioSpec(setting=1, n=8000, P=4, seed=11)
+        tracemalloc.start()
+        try:
+            generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGenerate:
