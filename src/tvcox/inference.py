@@ -145,9 +145,9 @@ def _factor_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
             eps = RIDGE_START if eps == 0.0 else eps * 10
 
 
-def _inverse_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
-    """Inverse of the (ridged) SPD matrix A as L^{-T} L^{-1}, symmetric by construction."""
-    L_inv = np.linalg.solve(_factor_spd(A, label, escalate), np.eye(A.shape[0]))
+def _inverse_spd(A: np.ndarray, label: str) -> np.ndarray:
+    """Inverse of the ridged SPD matrix A as L^{-T} L^{-1}, symmetric by construction."""
+    L_inv = np.linalg.solve(_factor_spd(A, label, escalate=True), np.eye(A.shape[0]))
     return L_inv.T @ L_inv
 
 
@@ -159,10 +159,9 @@ def _empirical_covariance(score_residuals) -> np.ndarray:
     """
     if not isinstance(score_residuals, lk.ScoreResiduals):
         V = score_residuals.V if hasattr(score_residuals, "V") else np.asarray(score_residuals)
-        return _inverse_spd(V, "empirical information", escalate=True)
+        return _inverse_spd(V, "empirical information")
     if score_residuals._V_inverse is None:
-        score_residuals._V_inverse = _inverse_spd(score_residuals.V, "empirical information",
-                                                  escalate=True)
+        score_residuals._V_inverse = _inverse_spd(score_residuals.V, "empirical information")
     return score_residuals._V_inverse
 
 
@@ -177,11 +176,17 @@ def _coefficient_blocks(theta_hat) -> np.ndarray:
 
 
 def _wald(theta: np.ndarray, covariance: np.ndarray, p: int, kind: str) -> WaldTest:
-    """Test of block p, given the inverse of the information."""
+    """Test of block p, given the inverse of the information.
+
+    Reads only block p: its row of theta and its K x K diagonal block of
+    the covariance, contrasted by the K-1 rows of ``contrast_matrix(0, 1, K)``.
+    """
     P, K = theta.shape
-    C = contrast_matrix(p, P, K)
-    d = C @ theta.ravel()
-    inner = C @ covariance @ C.T
+    if not 0 <= p < P:
+        raise ValueError(f"covariate index {p} out of range for P={P}")
+    C, block = contrast_matrix(0, 1, K), slice(p * K, (p + 1) * K)
+    d = C @ theta[p]
+    inner = C @ covariance[block, block] @ C.T
     inner = 0.5 * (inner + inner.T)
     # S = d' inner^{-1} d = |L^{-1} d|^2 with inner = L L'
     z = np.linalg.solve(_factor_spd(inner, f"contrast covariance for covariate {p}",
@@ -220,7 +225,7 @@ def covariance_from_residuals(score_residuals) -> np.ndarray:
 
 
 def covariance_from_hessian(full_hessian) -> np.ndarray:
-    return _inverse_spd(-np.asarray(full_hessian), "observed information", escalate=True)
+    return _inverse_spd(-np.asarray(full_hessian), "observed information")
 
 
 def curve_with_bands(theta_hat, covariance, spec: SplineSpec, grid,
@@ -228,20 +233,21 @@ def curve_with_bands(theta_hat, covariance, spec: SplineSpec, grid,
     """Coefficient curves beta_p(t) = theta_p' B(t) with pointwise 95% bands.
 
     ``covariance`` is the PK x PK covariance of the flattened coefficient
-    estimate on the fitting scale; when ``transform`` is given, curves and
-    bands are mapped back to the original covariate scale (divide block p
-    by its standardization scale).
+    estimate on the fitting scale; only its P diagonal K x K blocks are
+    read, each symmetrized on its own.  When ``transform`` is given, curves
+    and bands are mapped back to the original covariate scale (divide block
+    p by its standardization scale).
     """
     theta = np.asarray(theta_hat, dtype=float)
     P, K = theta.shape
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     B = evaluate_batch(spec, grid).values  # G x K, clamped to the domain
     est = theta @ B.T
-    cov = 0.5 * (np.asarray(covariance) + np.asarray(covariance).T)
+    cov = np.asarray(covariance)
     se = np.empty_like(est)
     for p in range(P):
         block = cov[p * K:(p + 1) * K, p * K:(p + 1) * K]
-        var = np.einsum("gk,kl,gl->g", B, block, B)
+        var = np.einsum("gk,kl,gl->g", B, 0.5 * (block + block.T), B)
         if var.min() < -1e-10:
             raise ConditioningError(
                 f"negative band variance for covariate {p}; covariance is not PSD")

@@ -73,8 +73,10 @@ risk set instead, and the second moments come from one row-chunked GEMM
 B-splines have local support, so B_k B_l is zero at every event time for
 basis functions far enough apart (a cubic basis: four or more).  Only the
 pairs whose functions are both non-zero at some event time are spread;
-the others' Hessian entries are sums of exact zeros, and are read off a
-zero slot.
+the others' second moments are sums of exact zeros, so their Hessian
+entries are the mean term alone.  The second moments of a spread pair
+(k, l) are P x P, and are subtracted from entry (k, l) of every K x K
+block of the Hessian, and from entry (l, k).
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 """
@@ -423,18 +425,17 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         # released before the next stratum's pass allocates its own
         Bg = U = lse = C = spread = means = W = ZB = None
 
+    H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
-        T = ku[0].size
-        tk = np.full((K, K), T, dtype=np.intp)  # a pair not spread reads the zero slot T
-        tk[ku] = tk[ku[::-1]] = np.arange(T)
-        p = np.arange(P)
-        # entry (p, k), (q, l) of the second moments is second[p*T + tk[k, l], q]
-        padded = np.pad(second.reshape(P, T, P), ((0, 0), (0, 1), (0, 0)))
-        Hf -= padded[p[:, None, None, None], tk[:, None, :], p[:, None]].reshape(P * K, P * K)
+        # with T spread pairs, row p*T + t, column q of the second moments
+        # is entry (p, k), (q, l) of spread pair t = (k, l), and (p, l), (q, k)
+        for t, (k, l) in enumerate(zip(*ku)):
+            H4[:, k, :, l] -= second[t::ku[0].size]
+            if k != l:
+                H4[:, l, :, k] -= second[t::ku[0].size]
         Hf += Hf.T
         Hf *= 0.5
     elif want_full:
-        H4 = Hf.reshape(P, K, P, K)
         H4[pairs[0], :, pairs[1], :] = H4[pairs[1], :, pairs[0], :] = -pair_blocks
 
     return LikelihoodReport(

@@ -344,6 +344,10 @@ def _best_block(report: lk.LikelihoodReport, ridge: float):
 def _mmsa_step(problem: _Problem, config: MmsaConfig):
     nu = config.learning_rate
 
+    def update(theta, p_star, c_star, direction):
+        theta[p_star] += nu * direction
+        return theta, p_star, c_star
+
     def full(theta, m, ll_prev):
         rep = problem.report(theta, want_blocks=True)
         ll = rep.loglik
@@ -352,11 +356,7 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
                 f"log likelihood decreased by {ll_prev - ll:.3e} at iteration {m}; "
                 f"reduce learning_rate below {nu}")
         p_star, c_star, direction = _best_block(rep, config.ridge)
-
-        def move(theta):
-            theta[p_star] += nu * direction
-            return theta, p_star, c_star
-        return c_star, move
+        return c_star, lambda theta: update(theta, p_star, c_star, direction)
 
     def stochastic(theta, m, ll_prev):
         # the draw only picks the update; the stopping test needs a full-data
@@ -372,8 +372,7 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
             p_star, c_star, direction = _best_block(rep, config.ridge)
             if c_star < config.tol:
                 return None  # no ascent direction on this draw
-            theta[p_star] += nu * direction
-            return theta, p_star, c_star
+            return update(theta, p_star, c_star, direction)
         return None, move
 
     return (stochastic, _CHECK_WINDOW) if config.subsample_fraction < 1.0 else (full, 0)
@@ -434,12 +433,14 @@ def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, unit_wants=Non
 def _newton_step(problem: _Problem, config: MmsaConfig):
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
-        # move holds only what it reads, so the report is freed with the next pass
-        ll, g, H = rep.loglik, rep.gradient, rep.full_hessian
+        # move holds neither the report nor its Hessian: it reads the Hessian off
+        # this pass, which the problem keeps, so both are freed with the next pass
+        ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
 
         def move(theta):
-            flat_dir, _ = _ridged_solve(-H, g, config.ridge, "full Hessian")
+            flat_dir, _ = _ridged_solve(-problem.report(theta, want_full=True).full_hessian,
+                                        g, config.ridge, "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
                                float(g @ flat_dir), ll, {"want_full": True})
             if moved is None:
@@ -538,9 +539,10 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
         raise ValueError("report must carry the gradient and block Hessians")
     theta_next = lk.as_matrix(theta_next, P, K)
     mid = 0.5 * (report_at_theta.theta + theta_next)
-    neg_hess_mid = -lk.full_hessian(dataset, index, basis, mid)
-    # H^{-1/2} assembled block by block from eigendecompositions
-    inv_sqrt = np.zeros((P * K, P * K))
+    # -hess(mid) as a P x K x P x K array: block (p, q) is [p, :, q, :]
+    neg_hess_mid = -lk.full_hessian(dataset, index, basis, mid).reshape(P, K, P, K)
+    # the P diagonal blocks S_p of H^{-1/2}, from eigendecompositions
+    S = np.empty((P, K, K))
     for p in range(P):
         g = report_at_theta.gradient_block(p)
         A = -report_at_theta.block_hessians[p]
@@ -550,8 +552,9 @@ def verify_ascent_condition(dataset: SurvivalDataset, index: RiskIndex,
         c_p = float(g @ (U @ ((U.T @ g) / lam)))
         if c_p <= 0:
             return False
-        sl = slice(p * K, (p + 1) * K)
-        inv_sqrt[sl, sl] = (U * (1.0 / np.sqrt(c_p * lam))) @ U.T
-    M = inv_sqrt @ neg_hess_mid @ inv_sqrt
+        S[p] = (U * (1.0 / np.sqrt(c_p * lam))) @ U.T
+    # block (p, q) of M = H^{-1/2} (-hess(mid)) H^{-1/2} is S_p (-hess(mid))_pq S_q
+    M = S[:, None] @ neg_hess_mid.transpose(0, 2, 1, 3) @ S[None]
+    M = M.transpose(0, 2, 1, 3).reshape(P * K, P * K)
     lam_max = np.linalg.eigvalsh(0.5 * (M + M.T))[-1]
     return bool(lam_max < 1.0 / nu)

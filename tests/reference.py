@@ -90,6 +90,30 @@ def brute_score_residuals(dataset, basis_values, theta):
     return np.array(order), np.array(rows)
 
 
+def dense_ascent_lambda_max(gradient, block_hessians, neg_hess_mid):
+    """lambda_max(H^{-1/2} (-hess_mid) H^{-1/2}) of the MMSA ascent certificate.
+
+    H is block diagonal with blocks c_p (-hess_p), c_p = g_p' (-hess_p)^{-1} g_p,
+    and H^{-1/2} is assembled as a dense PK x PK matrix from each block's
+    eigendecomposition.  Returns None where H is singular: a block whose
+    negated Hessian is not positive definite, or whose c_p is not positive.
+    """
+    P, K = block_hessians.shape[:2]
+    inv_sqrt = np.zeros((P * K, P * K))
+    for p in range(P):
+        g = gradient[p * K:(p + 1) * K]
+        lam, U = np.linalg.eigh(-block_hessians[p])
+        if lam.min() <= 0:
+            return None
+        c_p = float(g @ (U @ ((U.T @ g) / lam)))
+        if c_p <= 0:
+            return None
+        sl = slice(p * K, (p + 1) * K)
+        inv_sqrt[sl, sl] = (U * (1.0 / np.sqrt(c_p * lam))) @ U.T
+    M = inv_sqrt @ neg_hess_mid @ inv_sqrt
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+
+
 def chi2_upper_tail(x, df, iters=600):
     """P(chi2_df > x) via the lower-gamma series or upper continued fraction.
 

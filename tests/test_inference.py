@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,28 @@ class TestWaldStatistic:
                 fit.theta_original, resid_orig, p).statistic
             assert on_fit_scale == pytest.approx(on_original, rel=1e-6)
 
+    @pytest.mark.parametrize("P, K", [(2, 4), (4, 4), (6, 3)])
+    def test_reads_only_block_p_of_the_covariance(self, P, K):
+        # every entry outside block p's K x K diagonal block is NaN, and the
+        # statistic of covariate p is the one the clean matrix gives
+        rng = np.random.default_rng(P * 10 + K)
+        A = rng.normal(size=(P * K + 5, P * K))
+        V = A.T @ A + np.eye(P * K)
+        theta = rng.normal(size=(P, K))
+        clean = tv.likelihood.ScoreResiduals(psi=A, event_rows=np.arange(A.shape[0]),
+                                             total=A.sum(axis=0), V=V)
+        for p in range(P):
+            want = wald_test_empirical(theta, clean, p)
+            block = slice(p * K, (p + 1) * K)
+            dirty = tv.likelihood.ScoreResiduals(psi=A, event_rows=clean.event_rows,
+                                                 total=clean.total, V=np.full_like(V, np.nan))
+            dirty._V_inverse = np.full_like(V, np.nan)
+            dirty._V_inverse[block, block] = clean._V_inverse[block, block]
+            assert wald_test_empirical(theta, dirty, p) == want
+            assert np.isfinite(want.statistic) and want.statistic > 0
+        with pytest.raises(ValueError, match="out of range"):
+            wald_test_empirical(theta, clean, P)
+
     def test_theta_shape_validation(self):
         V = np.eye(4)
         with pytest.raises(ValueError, match="P x K"):
@@ -352,6 +375,24 @@ class TestCurveBands:
         assert np.allclose(mapped.estimate, plain.estimate / scale)
         assert np.allclose(mapped.se, plain.se / scale)
         assert np.allclose(mapped.lower, mapped.estimate - Z95 * mapped.se)
+
+    def test_reads_blocks_without_a_dense_copy(self):
+        # P = 300, K = 4: the bands allocate less than one PK x PK array
+        P, K = 300, 4
+        spec = make_spec(degree=3, K=K, event_times=np.linspace(0.1, 2.9, 40))
+        rng = np.random.default_rng(6)
+        theta = rng.normal(size=(P, K))
+        cov = np.eye(P * K) * 0.3
+        cov[:K, K:2 * K] = 0.05  # off the diagonal blocks: never read
+        tracemalloc.start()
+        try:
+            curves = curve_with_bands(theta, cov, spec, self.grid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cov.nbytes
+        b = evaluate_batch(spec, self.grid()).values
+        assert np.allclose(curves.se, np.sqrt(0.3 * (b * b).sum(axis=1))[None, :])
 
     def test_negative_variance_raises(self):
         spec = make_spec(degree=2, K=4, event_times=np.linspace(0.1, 2.9, 40))

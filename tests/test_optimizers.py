@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tvcox.likelihood import LikelihoodReport, evaluate_report, score_residuals
 from tvcox.optimizers import mmsa_block_quantities, verify_ascent_condition
 
 from conftest import make_instance
-from reference import bisect_maximum, brute_loglik
+from reference import bisect_maximum, brute_loglik, dense_ascent_lambda_max
 
 # frozen desk values for the 3-subject dataset at theta = 0:
 # c = grad^2 / (-hess) = (1/36)/(17/36) = 1/17, newton dir = -6/17,
@@ -365,6 +366,31 @@ class TestAscentCertificate:
                                                dataclasses.replace(rep, **changed),
                                                theta_next, nu=1e-4)
 
+    @pytest.mark.parametrize("seed, n, P, K, scale", [
+        (17, 60, 2, 3, 0.0), (18, 50, 2, 3, 0.0), (21, 80, 4, 3, 0.3), (22, 70, 3, 5, 0.3)])
+    def test_agrees_with_the_dense_certificate(self, seed, n, P, K, scale):
+        # the block-wise certificate against the dense H^{-1/2} of the
+        # oracle, on random steps, with learning rates on both sides of the
+        # bound; only a lambda_max within 1e-8 of 1/nu may be decided either way
+        ds, spec, basis, index = make_instance(seed, n=n, P=P, K=K)
+        rng = np.random.default_rng(seed)
+        theta = scale * rng.standard_normal((P, K))
+        rep = evaluate_report(ds, index, basis, theta, want_blocks=True)
+        decided = set()
+        for size in (1e-4, 1e-2, 0.3):
+            theta_next = theta + size * rng.standard_normal((P, K))
+            neg_hess_mid = -evaluate_report(ds, index, basis, 0.5 * (theta + theta_next),
+                                            want_gradient=False, want_full=True).full_hessian
+            lam_max = dense_ascent_lambda_max(rep.gradient, rep.block_hessians, neg_hess_mid)
+            assert lam_max is not None
+            for nu in (1e-4, 0.05, 5.0, 0.9 / lam_max, 1.1 / lam_max):
+                if abs(lam_max - 1.0 / nu) <= 1e-8 / nu:
+                    continue
+                certified = verify_ascent_condition(ds, index, basis, rep, theta_next, nu)
+                assert certified == (lam_max < 1.0 / nu)
+                decided.add(certified)
+        assert decided == {True, False}
+
     def test_requires_derivatives(self, d0):
         ds, spec = d0
         basis = tv.evaluate_batch(spec, ds.time)
@@ -592,6 +618,26 @@ class TestNewtonPasses:
                 expected["full"] += 1  # the next iteration's pass
             full_unit = halvings == 0
         assert counts == expected
+
+    @pytest.mark.parametrize("seed, init", [(19, None), (14, 1.0)])
+    def test_each_full_pass_starts_after_the_previous_hessian_is_freed(self, seed, init,
+                                                                      monkeypatch):
+        # a Newton iteration holds no PK x PK Hessian but its own
+        ds, spec, _, _ = make_instance(seed, n=80, P=2, K=3)
+        real = optimizers.lk.evaluate_report
+        hessians = []  # a weak reference to each full pass's Hessian
+
+        def spied(dataset, index, basis, theta, **wants):
+            full = wants.get("want_full", False)
+            assert not full or all(ref() is None for ref in hessians)
+            rep = real(dataset, index, basis, theta, **wants)
+            if full:
+                hessians.append(weakref.ref(rep.full_hessian))
+            return rep
+        monkeypatch.setattr(optimizers.lk, "evaluate_report", spied)
+        init_theta = None if init is None else np.full((2, 3), init)
+        fit = tv.newton_fit(ds, spec, MmsaConfig(tol=1e-8), init_theta=init_theta)
+        assert fit.converged and len(hessians) >= 4
 
 
 def test_coordinate_unit_steps_make_the_next_coordinates_pass(monkeypatch):
