@@ -16,7 +16,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
-import io
+import csv
 import json
 import os
 import sys
@@ -98,16 +98,20 @@ def _atomic_write(path: str, content) -> None:
         raise
 
 
-def _csv_text(header, rows, comments) -> str:
-    import csv as _csv
+def _csv_file(header, rows, comments):
+    """An ``_atomic_write`` file callback: comment lines, the header, then ``rows``.
 
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    ``rows`` may be any iterable; its rows are written one at a time, so a
+    generator's rows are never all held at once.
+    """
+    def write(path):
+        with open(path, "w") as fh:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    return write
 
 
 def _comments(resolved: dict) -> list:
@@ -185,7 +189,8 @@ def _fit_and_tests(dataset, spec, cfg):
     """Fit plus the inference pieces the fit/bench commands share."""
     fit = inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
     resid = likelihood.score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)
-    fit.risk_set_means = None  # read; not held while the outputs are written
+    # read; neither is held through the Wald tests and the outputs
+    fit.fitting_data = fit.risk_set_means = None
     tests = inference.test_all_covariates(fit.theta, resid) if spec.K >= 2 else []
     return fit, resid, tests
 
@@ -197,6 +202,7 @@ def cmd_fit(args) -> int:
     spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=dataset.event_times)
     fit, resid, tests = _fit_and_tests(dataset, spec, cfg)
     cov = inference.covariance_from_residuals(resid)
+    resid = None  # read; not held while the outputs are written
     lo, hi = spec.domain
     grid = np.linspace(lo, hi, 100)
     curves = inference.curve_with_bands(fit.theta, cov, spec, grid, fit.transform)
@@ -208,19 +214,18 @@ def cmd_fit(args) -> int:
     doc["tests"] = [t.to_dict() for t in tests]
     _atomic_write(os.path.join(out, "fit.json"), json.dumps(doc, indent=2) + "\n")
 
-    rows = []
-    for p, name in enumerate(dataset.covariate_names):
-        for g, t in enumerate(curves.times):
-            rows.append([f"{t:.17g}", name,
-                         f"{curves.estimate[p, g]:.17g}", f"{curves.se[p, g]:.17g}",
-                         f"{curves.lower[p, g]:.17g}", f"{curves.upper[p, g]:.17g}"])
+    rows = ([f"{t:.17g}", name,
+             f"{curves.estimate[p, g]:.17g}", f"{curves.se[p, g]:.17g}",
+             f"{curves.lower[p, g]:.17g}", f"{curves.upper[p, g]:.17g}"]
+            for p, name in enumerate(dataset.covariate_names)
+            for g, t in enumerate(curves.times))
     _atomic_write(os.path.join(out, "curves.csv"),
-                  _csv_text(["time", "covariate", "estimate", "se", "lower", "upper"],
+                  _csv_file(["time", "covariate", "estimate", "se", "lower", "upper"],
                             rows, comments))
-    test_rows = [[dataset.covariate_names[t.covariate], f"{t.statistic:.17g}",
-                  t.df, f"{t.p_value:.17g}", t.information] for t in tests]
+    test_rows = ([dataset.covariate_names[t.covariate], f"{t.statistic:.17g}",
+                  t.df, f"{t.p_value:.17g}", t.information] for t in tests)
     _atomic_write(os.path.join(out, "tests.csv"),
-                  _csv_text(["covariate", "statistic", "df", "p_value", "information"],
+                  _csv_file(["covariate", "statistic", "df", "p_value", "information"],
                             test_rows, comments))
     print(f"tvcox {__version__}: {fit.optimizer} {'converged' if fit.converged else 'stopped'} "
           f"({fit.reason}) after {fit.iterations} iterations, loglik {fit.loglik:.6f}")
@@ -271,7 +276,7 @@ def cmd_bench(args) -> int:
             except TvcoxError as e:
                 rows.append(base + ["", "", "", "", f"error:{e.code}"])
     rows.sort(key=lambda row: (row[0], row[2]))
-    _atomic_write(cfg["out"], _csv_text(
+    _atomic_write(cfg["out"], _csv_file(
         ["replicate", "scenario", "optimizer", "n", "P", "K", "time_sec",
          "bias", "imse", "rejection_rate", "status"], rows, _comments(cfg)))
     complete = [name for name in names if ok[name] == cfg["replicates"]]
@@ -295,10 +300,10 @@ def cmd_cv(args) -> int:
     report = inference.cross_validate_K(dataset, candidates, folds=cfg["folds"],
                                         config=_mmsa_config(cfg), degree=cfg["degree"],
                                         optimizer=cfg["optimizer"])
-    rows = [[K, k, f"{report.per_fold[i, k]:.17g}"]
-            for i, K in enumerate(report.candidates) for k in range(report.folds)]
+    rows = ([K, k, f"{report.per_fold[i, k]:.17g}"]
+            for i, K in enumerate(report.candidates) for k in range(report.folds))
     _atomic_write(os.path.join(cfg["out"], "cv.csv"),
-                  _csv_text(["K", "fold", "score"], rows, _comments(cfg)))
+                  _csv_file(["K", "fold", "score"], rows, _comments(cfg)))
     for K, score in zip(report.candidates, report.scores):
         print(f"K={K} cv={score:.6f}")
     print(f"chosen K = {report.chosen_K}")

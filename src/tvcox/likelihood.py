@@ -68,15 +68,19 @@ which uses
     C_i = sum_g d_g w_gi B_g B_g',
 
 so the pass spreads the entries k <= l of each d_g B_g B_g' over its
-risk set instead, and the second moments come from one row-chunked GEMM
-``(Xs (x) C)' Xs``; the mean term is a second GEMM over the event times.
+risk set instead.  The second moments are ``(Xs (x) C)' Xs``, one GEMM per
+chunk of subjects, and the mean term is ``ZB' ZB``, row g of ZB being
+``zbar_g (x) sqrt(d_g) B_g``, one symmetric GEMM per chunk of event times;
+each chunk is written into one buffer that all of a stratum's chunks
+reuse, so neither an n x P*T nor an m x PK array is formed.
 B-splines have local support, so B_k B_l is zero at every event time for
 basis functions far enough apart (a cubic basis: four or more).  Only the
 pairs whose functions are both non-zero at some event time are spread;
 the others' second moments are sums of exact zeros, so their Hessian
 entries are the mean term alone.  The second moments of a spread pair
-(k, l) are P x P, and are subtracted from entry (k, l) of every K x K
-block of the Hessian, and from entry (l, k).
+(k, l) are P x P; symmetrized, they are subtracted from entry (k, l) of
+every K x K block of the Hessian, and from entry (l, k), so the Hessian
+is exactly symmetric.
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 """
@@ -105,7 +109,7 @@ __all__ = [
 
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
-_CHUNK_ENTRIES = 1 << 18   # entries per GEMM row chunk: 2 MiB of float64
+_CHUNK_ENTRIES = 1 << 16   # entries per GEMM row chunk: 512 KiB of float64
 _S_FLOOR = 1e-250          # a chunk's risk-set sums outside [_S_FLOOR, 1 / _S_FLOOR]: made again
 
 
@@ -281,18 +285,54 @@ def _uniform_pass(s, A, spread):
     return lse, means
 
 
+def _chunk_rows(n: int, width: int, least: int) -> int:
+    """Rows per chunk where n rows of ``width`` products are made a chunk at a time.
+
+    ``_CHUNK_ENTRIES // width`` rows, but at least ``least``, then stretched
+    so that the n rows split into equal chunks with no short one left over:
+    never more than n, nor twice the unstretched length.
+    """
+    return -(-n // max(1, n // max(least, _CHUNK_ENTRIES // width)))
+
+
 def _add_second_moments(out, Xs, C):
     """Add ``sum_i (x_i (x) C_i) x_i'`` to ``out`` (P*T x P), a row chunk at a time.
 
-    A chunk's n_r x P*T products never hold more than ``_CHUNK_ENTRIES``
-    entries (one row at least).
+    Every chunk's n_r x P*T products are written into one buffer, and every
+    chunk's GEMM into one P*T x P product.  A chunk has at least P rows (or
+    all n), so the product is never larger than a chunk.
     """
     n, P = Xs.shape
-    step = max(1, _CHUNK_ENTRIES // (P * C.shape[1]))
+    step = _chunk_rows(n, P * C.shape[1], P)
+    buf = np.empty((step, P, C.shape[1]))
+    prod = np.empty_like(out)
     for r in range(0, n, step):
         X = Xs[r:r + step]
-        XC = (X[:, :, None] * C[r:r + step, None, :]).reshape(X.shape[0], -1)
-        out += XC.T @ X
+        XC = np.multiply(X[:, :, None], C[r:r + step, None, :], out=buf[:X.shape[0]])
+        out += np.matmul(XC.reshape(X.shape[0], -1).T, X, out=prod)
+
+
+def _add_mean_term(out, Zbar, Bg, d):
+    """Add ``sum_g d_g (zbar_g zbar_g') (x) (B_g B_g')`` to ``out`` (PK x PK).
+
+    As ``ZB' ZB``, row g of ZB being ``zbar_g (x) sqrt(d_g) B_g``: sqrt(d)
+    on both factors weights the term by d, and numpy computes ``ZB' ZB`` as
+    a symmetric product, so the term is exactly symmetric.  ZB is made a
+    chunk of event times at a time in one buffer, and every chunk's GEMM
+    goes into one PK x PK product.  A chunk has at least PK rows (or all
+    m), so the product is never larger than a chunk.
+    """
+    m, P = Zbar.shape
+    PK = P * Bg.shape[1]
+    step = _chunk_rows(m, PK, PK)
+    buf = np.empty((step, P, Bg.shape[1]))
+    prod = np.empty_like(out)
+    sB = Bg * np.sqrt(d)[:, None]
+    for a in range(0, m, step):
+        Z = Zbar[a:a + step]
+        ZB = np.multiply(Z[:, :, None], sB[a:a + step, None, :],
+                         out=buf[:Z.shape[0]]).reshape(Z.shape[0], PK)
+        out += np.matmul(ZB.T, ZB, out=prod)
 
 
 def _physical_memory() -> int | None:
@@ -309,9 +349,13 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     Counted at the largest stratum: the vector of ones, U (n x K), Bg (m x
     K), the one buffer of linear predictors that every chunk reuses and its
     band mask at a byte an entry (at most ``_CHUNK_TIMES`` event times, so
-    at most 32 n entries each), Hf and one Hf-sized addition to it, the
-    risk-set means the report keeps for every stratum (m x P each), and for
-    each form its own arrays (see the comments below).  Each stratum's
+    at most 32 n entries each), Hf and one Hf-sized array beside it (the
+    separable mean term's GEMM product, or the product form's negated pair
+    blocks), the risk-set means the report keeps for every stratum (m x P
+    each), and for each form its own arrays (see the comments below).
+    The separable form's second moments and mean term are made a chunk at a
+    time, each chunk written into one buffer that every chunk reuses, and
+    its symmetry needs no Hf-sized copy.  Each stratum's
     arrays are released before the next stratum's pass, so they are counted
     once.  The separable form is counted with all K(K+1)/2 basis pairs; it
     spreads only the pairs that overlap at some event time, so its count is
@@ -323,10 +367,13 @@ def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
     T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
     if separable:
         # C and one C-sized addition to it (the moments are Xs itself, read
-        # in place); ZB; one GEMM row chunk; the P*T x P second moments and
-        # one addition to them
-        entries = (2 * n * T + m * P * K
-                   + min(n, max(1, _CHUNK_ENTRIES // (P * T))) * P * T + 2 * P * P * T)
+        # in place); the P*T x P second moments and their chunks' GEMM
+        # product; the chunk buffers of the second moments and the mean term,
+        # each at most twice _chunk_rows' unstretched length
+        PK = P * K
+        entries = (2 * n * T + 2 * P * P * T
+                   + min(n, 2 * max(P, _CHUNK_ENTRIES // (P * T))) * P * T
+                   + min(m, 2 * max(PK, _CHUNK_ENTRIES // PK)) * PK)
     else:
         # the moment array [Xs, pair products]; its risk-set means and the
         # pairs' weighted form; the basis products B_g B_g' the pair blocks
@@ -418,23 +465,23 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
         if separable:
             _add_second_moments(second, s.Xs, C)
-            # sqrt(d) on both factors weights the mean term by d, and numpy
-            # computes ZB.T @ ZB as a symmetric product
-            ZB = (Zbar[:, :, None] * (Bg * np.sqrt(d)[:, None])[:, None, :]).reshape(-1, P * K)
-            Hf += ZB.T @ ZB
+            C = spread = None  # released before the mean term's buffers
+            _add_mean_term(Hf, Zbar, Bg, d)
         # released before the next stratum's pass allocates its own
-        Bg = U = lse = C = spread = means = W = ZB = None
+        Bg = U = lse = means = W = None
 
     H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
         # with T spread pairs, row p*T + t, column q of the second moments
-        # is entry (p, k), (q, l) of spread pair t = (k, l), and (p, l), (q, k)
+        # is entry (p, k), (q, l) of spread pair t = (k, l), and (p, l), (q, k);
+        # the mean term is exactly symmetric, so subtracting each pair's
+        # symmetrized P x P block keeps Hf exactly symmetric
         for t, (k, l) in enumerate(zip(*ku)):
-            H4[:, k, :, l] -= second[t::ku[0].size]
+            S = second[t::ku[0].size]
+            S = 0.5 * (S + S.T)
+            H4[:, k, :, l] -= S
             if k != l:
-                H4[:, l, :, k] -= second[t::ku[0].size]
-        Hf += Hf.T
-        Hf *= 0.5
+                H4[:, l, :, k] -= S
     elif want_full:
         H4[pairs[0], :, pairs[1], :] = H4[pairs[1], :, pairs[0], :] = -pair_blocks
 

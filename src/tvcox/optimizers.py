@@ -135,13 +135,15 @@ class FitResult:
     ``(dataset, index, basis)`` the fit ran on, on the fitting scale and in
     the likelihood functions' argument order, as in
     ``score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)``;
-    the result keeps these arrays alive.  ``risk_set_means`` are the
-    per-stratum risk-set means of the pass that the fit's log likelihood was
-    read off, at the returned theta, so that call makes no likelihood pass;
-    a loglik-only pass computes none, and then they are None and
-    ``score_residuals`` makes one.  ``trace`` holds one entry per update: (selected
-    block or -1 when the optimizer has no block structure, stopping-criterion
-    value, full-data log likelihood at the fitting loop's latest check).  For
+    the result keeps these arrays alive until the field is cleared, as
+    ``tvcox fit`` and ``bench`` clear it once the residuals are built.
+    ``risk_set_means`` are the per-stratum risk-set means of the pass that
+    the fit's log likelihood was read off, at the returned theta, so that
+    call makes no likelihood pass; a loglik-only pass computes none, and
+    then they are None and ``score_residuals`` makes one.  ``trace`` holds
+    one entry per update: (selected block or -1 when the optimizer has no
+    block structure, stopping-criterion value, full-data log likelihood at
+    the fitting loop's latest check).  For
     the full-data methods that check is made at the theta the update starts
     from; stochastic MMSA makes it at the first iteration and after every 20
     updates.  ``iterations`` is the number of updates, ``len(trace)``.

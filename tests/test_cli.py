@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,32 +189,100 @@ class TestResidualsFromTheFitsLastPass:
 
         def fit_then_mark(*args):
             result = fit_fn(*args)
-            after_fit.append(len(passes))
+            # the data the fit ran on, which _fit_and_tests drops
+            after_fit.append((len(passes), result.fitting_data))
             return result
         monkeypatch.setattr(cli.inference, "fit_by_name", lambda name: fit_then_mark)
         fit, resid, tests = cli._fit_and_tests(
             ds, spec, dict(dict(nu=0.05, eta=1.0, max_iter=20000, tol=1e-8, seed=1), **cfg))
         monkeypatch.undo()
-        (mark,) = after_fit
-        return fit, resid, len(passes) - mark
+        ((mark, fitting_data),) = after_fit
+        assert fit.fitting_data is None
+        return fit, resid, len(passes) - mark, fitting_data
 
     def test_a_converged_newton_fit_makes_no_pass(self, monkeypatch):
-        fit, resid, after = self.fit_and_count(monkeypatch, optimizer="newton")
+        fit, resid, after, fitting_data = self.fit_and_count(monkeypatch, optimizer="newton")
         assert fit.converged and after == 0
-        fresh = tvcox.score_residuals(*fit.fitting_data, fit.theta)
+        fresh = tvcox.score_residuals(*fitting_data, fit.theta)
         np.testing.assert_allclose(resid.V, fresh.V, rtol=1e-12, atol=0)
-        final = tvcox.evaluate_report(*fit.fitting_data, fit.theta, want_full=True)
+        final = tvcox.evaluate_report(*fitting_data, fit.theta, want_full=True)
         scale = np.abs(resid.psi).sum(axis=0).max()
         np.testing.assert_allclose(resid.total, final.gradient, rtol=0, atol=1e-12 * scale)
 
     def test_a_subsampled_mmsa_fit_makes_one_pass(self, monkeypatch):
         # its last pass is loglik-only, which computes no means
-        fit, resid, after = self.fit_and_count(monkeypatch, optimizer="mmsa", eta=0.2,
-                                               max_iter=60)
+        fit, resid, after, fitting_data = self.fit_and_count(
+            monkeypatch, optimizer="mmsa", eta=0.2, max_iter=60)
         assert fit.risk_set_means is None
-        assert after == len(fit.fitting_data[1].strata) == 2
-        fresh = tvcox.score_residuals(*fit.fitting_data, fit.theta)
+        assert after == len(fitting_data[1].strata) == 2
+        fresh = tvcox.score_residuals(*fitting_data, fit.theta)
         assert np.array_equal(resid.V, fresh.V) and np.array_equal(resid.total, fresh.total)
+
+
+def _former_csv_text(header, rows, comments):
+    """The writer that ``cli._csv_file`` replaced: the whole file as one string."""
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+class TestOutputs:
+    """Outputs are written row by row, after the fit's data and residuals are released."""
+
+    @pytest.mark.parametrize("comments", [[], ["tvcox 0.1.0", 'config: {"out": "a, \\"b\\""}']],
+                             ids=["bare", "comments"])
+    def test_streamed_rows_match_the_former_text(self, tmp_path, comments):
+        header = ["time", "covariate", "note"]
+        rows = [["0.5", "x1", 1], ["a,b", 'say "hi"', "two\nlines"],
+                ["1e-300", "βeta ü", "日本"], ["", None, 2.5]]
+        streamed, former = tmp_path / "streamed.csv", tmp_path / "former.csv"
+        cli._atomic_write(str(streamed), cli._csv_file(header, iter(rows), comments))
+        cli._atomic_write(str(former), _former_csv_text(header, rows, comments))
+        assert streamed.read_bytes() == former.read_bytes()
+
+    def test_writing_outputs_never_peaks_above_the_fit(self, tmp_path, capsys, monkeypatch):
+        # the CI's wide instance, P=40 > K=4: the separable form and 40 Wald
+        # tests.  Holding the fit's data, the residuals and every curves.csv
+        # row as text while writing peaked above the fit.
+        data = str(tmp_path / "p.csv")
+        rc, _, err = run(["simulate", "--setting", "1", "--n", "300", "--P", "40",
+                          "--seed", "5", "--out", data], capsys)
+        assert rc == 0, err
+        fit_peak = []
+        real_fit_by_name = cli.inference.fit_by_name
+        real_covariance = cli.inference.covariance_from_residuals
+
+        def fit_by_name(name):
+            fit_fn = real_fit_by_name(name)
+
+            def fit_then_read_peak(*args):
+                result = fit_fn(*args)
+                fit_peak.append(tracemalloc.get_traced_memory()[1])
+                return result
+            return fit_then_read_peak
+
+        def covariance_then_reset_peak(resid):
+            cov = real_covariance(resid)
+            tracemalloc.reset_peak()
+            return cov
+        monkeypatch.setattr(cli.inference, "fit_by_name", fit_by_name)
+        monkeypatch.setattr(cli.inference, "covariance_from_residuals",
+                            covariance_then_reset_peak)
+        tracemalloc.start()
+        try:
+            rc, _, err = run(["fit", "--data", data, "--K", "4", "--optimizer", "newton",
+                              "--tol", "1e-8", "--out", str(tmp_path / "p")], capsys)
+            _, outputs_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, err
+        assert outputs_peak < fit_peak[0]
+        _, _, rows = read_rows(tmp_path / "p" / "curves.csv")
+        assert len(rows) == 40 * 100
 
 
 class TestConfigFile:

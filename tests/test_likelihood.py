@@ -580,6 +580,29 @@ def test_blocks_pass_holds_one_moment_array():
     assert moments <= peak < 1.5 * moments
 
 
+def test_separable_pass_reuses_bounded_chunk_buffers():
+    # n=2000, P=40, K=8 (PK=320, 26 spread pairs, about 1000 event times):
+    # the second moments and the mean term are made a chunk at a time in one
+    # buffer each, under 1 MiB, beside Hf (0.8 MiB).  A fresh 2 MiB
+    # second-moment chunk made before the last is freed, the whole m x PK
+    # mean-term array (2.5 MiB) and a transposed copy of Hf to symmetrize it
+    # peaked at 6.3 MiB
+    n, P, K = 2000, 40, 8
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(28).normal(0, 0.05, (P, K))
+    tracemalloc.start()
+    try:
+        H = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(H, H.T)
+    assert peak < 4.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
 def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
     # the chunk width is _CHUNK_TIMES at every stratum size: an entry budget
