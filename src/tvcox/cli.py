@@ -185,14 +185,24 @@ def _mmsa_config(cfg: dict) -> MmsaConfig:
         raise UsageError(str(e)) from None
 
 
-def _fit_and_tests(dataset, spec, cfg):
-    """Fit plus the inference pieces the fit/bench commands share."""
-    fit = inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
+def _fit(dataset, spec, cfg):
+    """The fit that ``cfg`` names, on the fitting scale, with the data it ran on."""
+    return inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
+
+
+def _residuals_and_tests(fit, spec):
+    """The fit's score residuals and Wald tests; drops the fit's data once the residuals are built."""
     resid = likelihood.score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)
     # read; neither is held through the Wald tests and the outputs
     fit.fitting_data = fit.risk_set_means = None
     tests = inference.test_all_covariates(fit.theta, resid) if spec.K >= 2 else []
-    return fit, resid, tests
+    return resid, tests
+
+
+def _fit_and_tests(dataset, spec, cfg):
+    """Fit plus the inference pieces the fit/bench commands share."""
+    fit = _fit(dataset, spec, cfg)
+    return (fit, *_residuals_and_tests(fit, spec))
 
 
 def cmd_fit(args) -> int:
@@ -200,7 +210,9 @@ def cmd_fit(args) -> int:
     cfg = _resolve(args)
     dataset = load_csv(cfg["data"])
     spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=dataset.event_times)
-    fit, resid, tests = _fit_and_tests(dataset, spec, cfg)
+    fit, names = _fit(dataset, spec, cfg), dataset.covariate_names
+    dataset = None  # the fit runs on its own standardized copy; this one is freed here
+    resid, tests = _residuals_and_tests(fit, spec)
     cov = inference.covariance_from_residuals(resid)
     resid = None  # read; not held while the outputs are written
     lo, hi = spec.domain
@@ -217,12 +229,12 @@ def cmd_fit(args) -> int:
     rows = ([f"{t:.17g}", name,
              f"{curves.estimate[p, g]:.17g}", f"{curves.se[p, g]:.17g}",
              f"{curves.lower[p, g]:.17g}", f"{curves.upper[p, g]:.17g}"]
-            for p, name in enumerate(dataset.covariate_names)
+            for p, name in enumerate(names)
             for g, t in enumerate(curves.times))
     _atomic_write(os.path.join(out, "curves.csv"),
                   _csv_file(["time", "covariate", "estimate", "se", "lower", "upper"],
                             rows, comments))
-    test_rows = ([dataset.covariate_names[t.covariate], f"{t.statistic:.17g}",
+    test_rows = ([names[t.covariate], f"{t.statistic:.17g}",
                   t.df, f"{t.p_value:.17g}", t.information] for t in tests)
     _atomic_write(os.path.join(out, "tests.csv"),
                   _csv_file(["covariate", "statistic", "df", "p_value", "information"],

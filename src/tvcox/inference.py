@@ -132,22 +132,31 @@ def _factor_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
     """Lower Cholesky factor of A, with optional geometric ridge escalation from 1e-10.
 
     The factorization is the positive-definiteness test: a non-PD matrix
-    raises ``LinAlgError``, and the ridge grows until it passes.
+    raises ``LinAlgError``, and the ridge grows until it passes.  As in
+    ``optimizers._ridged_solve``, the ridge goes onto A's own diagonal, set
+    from a saved copy of it, and the saved diagonal is written back before
+    the function returns, so no identity or ridged copy of A is made.
     """
+    A = np.require(A, float, "W")  # an integer or read-only A is copied
+    diagonal = A.diagonal().copy()
     eps = 0.0
-    scale = float(np.abs(A).max()) or 1.0
-    while True:
-        try:
-            return np.linalg.cholesky(A + eps * scale * np.eye(A.shape[0]))
-        except np.linalg.LinAlgError:
-            if not escalate or eps >= RIDGE_CEIL:
-                raise RankDeficiencyError(f"{label} is singular") from None
-            eps = RIDGE_START if eps == 0.0 else eps * 10
+    scale = float(max(A.max(), -A.min())) or 1.0
+    try:
+        while True:
+            try:
+                return np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                if not escalate or eps >= RIDGE_CEIL:
+                    raise RankDeficiencyError(f"{label} is singular") from None
+                eps = RIDGE_START if eps == 0.0 else eps * 10
+                A.flat[::A.shape[0] + 1] = diagonal + eps * scale
+    finally:
+        A.flat[::A.shape[0] + 1] = diagonal
 
 
 def _inverse_spd(A: np.ndarray, label: str) -> np.ndarray:
     """Inverse of the ridged SPD matrix A as L^{-T} L^{-1}, symmetric by construction."""
-    L_inv = np.linalg.solve(_factor_spd(A, label, escalate=True), np.eye(A.shape[0]))
+    L_inv = np.linalg.inv(_factor_spd(A, label, escalate=True))
     return L_inv.T @ L_inv
 
 

@@ -69,10 +69,11 @@ which uses
 
 so the pass spreads the entries k <= l of each d_g B_g B_g' over its
 risk set instead.  The second moments are ``(Xs (x) C)' Xs``, one GEMM per
-chunk of subjects, and the mean term is ``ZB' ZB``, row g of ZB being
-``zbar_g (x) sqrt(d_g) B_g``, one symmetric GEMM per chunk of event times;
-each chunk is written into one buffer that all of a stratum's chunks
-reuse, so neither an n x P*T nor an m x PK array is formed.
+chunk of subjects, each chunk written into one buffer that all of a
+stratum's chunks reuse, so no n x P*T array is formed.  The second
+moments are allocated after a stratum's chunk loop, and Hf after its
+second moments, so neither is held beside the buffers made before it
+unless an earlier stratum made it.
 B-splines have local support, so B_k B_l is zero at every event time for
 basis functions far enough apart (a cubic basis: four or more).  Only the
 pairs whose functions are both non-zero at some event time are spread;
@@ -80,9 +81,23 @@ the others' second moments are sums of exact zeros, so their Hessian
 entries are the mean term alone.  The second moments of a spread pair
 (k, l) are P x P; symmetrized, they are subtracted from entry (k, l) of
 every K x K block of the Hessian, and from entry (l, k), so the Hessian
-is exactly symmetric.
+is exactly symmetric.  The same support shapes the mean term
+``sum_g d_g (zbar_g zbar_g') (x) (B_g B_g')``: B_g is non-zero on one span
+of at most degree + 1 consecutive basis functions, and event times in
+order share a span in runs.  Each run of width w adds ``ZB' ZB``, row g of
+ZB being ``zbar_g (x) sqrt(d_g) B_g`` on the span, a (P w) x (P w)
+symmetric product, into the principal submatrix of the span, so no m x PK
+array and no PK x PK product is formed.
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
+
+The score residuals ``psi_e = (x_e - zbar_e) (x) B(T_e)`` are products of
+two factors, the centred covariates (n_events x P) and the basis rows
+(n_events x K), and ``score_residuals`` keeps those instead of Psi.  Their
+sum is ``(x - zbar)' B``, and the empirical information V = Psi' Psi is
+built block by block: block (k, l) is ``C_k' C_l`` with
+``C_k = (x - zbar) * B_k``, over the events where both basis functions are
+non-zero, for the pairs that are both non-zero at some event.
 """
 
 from __future__ import annotations
@@ -162,20 +177,30 @@ class LikelihoodReport:
 
 @dataclass
 class ScoreResiduals:
-    """Per-event score residuals Psi and the empirical information.
+    """Per-event score residuals and the empirical information.
 
-    ``psi[e]`` is the flattened (x_e - zbar) outer B(T_e) for event e;
-    their sum equals the gradient, and V = Psi' Psi estimates the
-    information without second derivatives.
+    The residual of event e is the flattened (x_e - zbar_e) outer B(T_e);
+    the residuals sum to the gradient, and V = Psi' Psi estimates the
+    information without second derivatives.  The bundle keeps the two
+    factors of the residuals, ``centered`` (x_e - zbar_e) and
+    ``basis_rows`` (B(T_e)), one row per entry of ``event_rows``, and
+    ``psi`` forms the n_events x PK residuals from them each time it is read.
     """
 
-    psi: np.ndarray         # n_events x PK
     event_rows: np.ndarray  # original dataset rows, one per event
-    total: np.ndarray       # column sum, equals the gradient
+    total: np.ndarray       # column sum of the residuals, equals the gradient
     V: np.ndarray           # PK x PK
+    centered: np.ndarray | None = field(default=None, repr=False)    # n_events x P
+    basis_rows: np.ndarray | None = field(default=None, repr=False)  # n_events x K
     # ridged inverse of V (the empirical covariance), kept by the first
     # inference call that needs it and shared by the Wald tests
     _V_inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The n_events x PK residuals, row e the flattened ``centered[e]`` outer ``basis_rows[e]``."""
+        D, B = self.centered, self.basis_rows
+        return (D[:, :, None] * B[:, None, :]).reshape(D.shape[0], -1)
 
 
 def _factors(s, basis_values, Theta):
@@ -312,27 +337,39 @@ def _add_second_moments(out, Xs, C):
         out += np.matmul(XC.reshape(X.shape[0], -1).T, X, out=prod)
 
 
+def _spans(B):
+    """Each row's non-zero span of columns ``[first, stop)`` (``[0, K)`` for a zero row)."""
+    nz = B != 0
+    return nz.argmax(axis=1), B.shape[1] - nz[:, ::-1].argmax(axis=1)
+
+
 def _add_mean_term(out, Zbar, Bg, d):
     """Add ``sum_g d_g (zbar_g zbar_g') (x) (B_g B_g')`` to ``out`` (PK x PK).
 
-    As ``ZB' ZB``, row g of ZB being ``zbar_g (x) sqrt(d_g) B_g``: sqrt(d)
-    on both factors weights the term by d, and numpy computes ``ZB' ZB`` as
-    a symmetric product, so the term is exactly symmetric.  ZB is made a
-    chunk of event times at a time in one buffer, and every chunk's GEMM
-    goes into one PK x PK product.  A chunk has at least PK rows (or all
-    m), so the product is never larger than a chunk.
+    Once per run of consecutive event times whose basis rows share one
+    non-zero span ``[k0, k0 + w)``: ``ZB' ZB``, row g of ZB being
+    ``zbar_g (x) sqrt(d_g) B_g[k0:k0 + w]``, is added into the principal
+    submatrix of the span, entries ``(p, k), (q, l)`` with k, l in the span.
+    sqrt(d) on both factors weights the term by d, and numpy computes
+    ``ZB' ZB`` as a symmetric product, so the term is exactly symmetric.  A
+    run longer than ``_chunk_rows`` allows is made in chunks of at least
+    P w rows, so the product is never larger than a chunk.
     """
     m, P = Zbar.shape
-    PK = P * Bg.shape[1]
-    step = _chunk_rows(m, PK, PK)
-    buf = np.empty((step, P, Bg.shape[1]))
-    prod = np.empty_like(out)
+    K = Bg.shape[1]
+    H4 = out.reshape(P, K, P, K)
+    first, stop = _spans(Bg)
+    cut = np.flatnonzero((first[1:] != first[:-1]) | (stop[1:] != stop[:-1])) + 1
     sB = Bg * np.sqrt(d)[:, None]
-    for a in range(0, m, step):
-        Z = Zbar[a:a + step]
-        ZB = np.multiply(Z[:, :, None], sB[a:a + step, None, :],
-                         out=buf[:Z.shape[0]]).reshape(Z.shape[0], PK)
-        out += np.matmul(ZB.T, ZB, out=prod)
+    for a, b in zip(np.r_[0, cut], np.r_[cut, m]):
+        k0, k1 = first[a], stop[a]
+        Pw = P * (k1 - k0)
+        step = _chunk_rows(b - a, Pw, Pw)
+        span = H4[:, k0:k1, :, k0:k1]
+        for r in range(a, b, step):
+            e = min(r + step, b)
+            ZB = (Zbar[r:e, :, None] * sB[r:e, None, k0:k1]).reshape(e - r, Pw)
+            np.add(span, (ZB.T @ ZB).reshape(span.shape), out=span)
 
 
 def _physical_memory() -> int | None:
@@ -343,45 +380,82 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
-    """Bytes of the largest arrays a full-Hessian pass holds at once.
+def _require_memory(need: int, what: str) -> None:
+    """Raise ``CapacityError`` when ``need`` bytes exceed the machine's physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(f"{what} needs about {need / 2**30:.1f} GiB, "
+                            f"more than the {have / 2**30:.1f} GiB of physical memory")
 
-    Counted at the largest stratum: the vector of ones, U (n x K), Bg (m x
-    K), the one buffer of linear predictors that every chunk reuses and its
-    band mask at a byte an entry (at most ``_CHUNK_TIMES`` event times, so
-    at most 32 n entries each), Hf and one Hf-sized array beside it (the
-    separable mean term's GEMM product, or the product form's negated pair
-    blocks), the risk-set means the report keeps for every stratum (m x P
-    each), and for each form its own arrays (see the comments below).
-    The separable form's second moments and mean term are made a chunk at a
-    time, each chunk written into one buffer that every chunk reuses, and
-    its symmetry needs no Hf-sized copy.  Each stratum's
-    arrays are released before the next stratum's pass, so they are counted
-    once.  The separable form is counted with all K(K+1)/2 basis pairs; it
-    spreads only the pairs that overlap at some event time, so its count is
-    an upper bound.
+
+def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
+    """Bytes of the largest arrays a pass of ``form`` holds at once.
+
+    ``form`` is ``"blocks"`` (the gradient and the P diagonal Hessian
+    blocks), or the full Hessian's ``"product"`` or ``"separable"`` form,
+    counted together with a Newton iteration's solve of it.  Counted at the
+    largest stratum: the vector of ones, U (n x K), Bg (m x K), the one
+    buffer of linear predictors that every chunk reuses and its band mask at
+    a byte an entry (at most ``_CHUNK_TIMES`` event times, so at most 32 n
+    entries each), the gradient and the risk-set means the report keeps for
+    every stratum (m x P each), and for each form its own arrays (see the
+    comments below).  Each stratum's arrays are released before the next
+    stratum's pass, so they are counted once.  A full pass hands Hf to the
+    solve, which ridges it in place; the Cholesky factor and LAPACK's copy
+    of Hf in the solve are two more arrays of its size.  The separable form
+    is counted with all K(K+1)/2 basis pairs and with a mean-term span K
+    wide; it spreads only the pairs that overlap at some event time, and a
+    span is at most degree + 1 wide, so its count is an upper bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
-    kept = P * sum(s.dt.size for s in index.strata)
-    T, pairs = K * (K + 1) // 2, P * (P + 1) // 2
-    if separable:
-        # C and one C-sized addition to it (the moments are Xs itself, read
-        # in place); the P*T x P second moments and their chunks' GEMM
-        # product; the chunk buffers of the second moments and the mean term,
-        # each at most twice _chunk_rows' unstretched length
-        PK = P * K
-        entries = (2 * n * T + 2 * P * P * T
-                   + min(n, 2 * max(P, _CHUNK_ENTRIES // (P * T))) * P * T
-                   + min(m, 2 * max(PK, _CHUNK_ENTRIES // PK)) * PK)
+    PK = P * K
+    chunk = min(_CHUNK_TIMES, m) * n
+    entries = n * (1 + K) + m * K + chunk + P * sum(s.dt.size for s in index.strata) + PK
+    if form == "separable":
+        T = K * (K + 1) // 2
+        # Hf, and the largest of four stages that follow one another: the chunk
+        # loop's spread C, one C-sized addition to it, the means and the spread
+        # weights (the moments are Xs itself, read in place); C, the P*T x P
+        # second moments, their chunks' GEMM product and the chunk buffer of
+        # at most twice _chunk_rows' unstretched length; the second moments
+        # beside the mean term's scaled basis rows, its chunk, bounded the same
+        # way, and its product; the solve's factor and LAPACK's copy
+        entries += PK * PK + max(
+            2 * n * T + m * (P + T),
+            n * T + m * T + 2 * P * P * T + min(n, 2 * max(P, _CHUNK_ENTRIES // (P * T))) * P * T,
+            P * P * T + m * (K + 2) + min(m * PK, 2 * max(PK * PK, _CHUNK_ENTRIES)) + PK * PK,
+            2 * PK * PK)
     else:
         # the moment array [Xs, pair products]; its risk-set means and the
-        # pairs' weighted form; the basis products B_g B_g' the pair blocks
-        # contract it with
-        entries = n * (P + pairs) + m * (P + 2 * pairs + K * K)
-    chunk = min(_CHUNK_TIMES, m) * n
-    return 8 * (entries + n * (1 + K) + m * K + chunk + 2 * (P * K) ** 2
-                + kept) + chunk
+        # pairs' weighted form with its temporaries; the basis products
+        # B_g B_g' the pair blocks contract it with, and the pair blocks with
+        # their products; for the full Hessian, Hf beside its solve
+        pairs = P if form == "blocks" else P * (P + 1) // 2
+        entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
+        if form == "product":
+            entries += 3 * PK * PK
+    return 8 * entries + chunk
+
+
+def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
+    """``_pass_bytes`` of a full-Hessian pass in the separable or the product form."""
+    return _pass_bytes(index, P, K, "separable" if separable else "product")
+
+
+def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
+    """Bytes of the largest arrays ``score_residuals`` holds at once.
+
+    Over all n_e events: five index vectors (the event rows and their
+    means' rows, the time order and both reordered); the centred
+    covariates, the risk-set means subtracted from them and the means of
+    every stratum side by side, or later two blocks' factors C_k and C_l;
+    the basis rows and two non-zero masks of them; then V, a P x P block and
+    the column sum.  The means passed in, and a gradient pass made when none
+    are, are not counted.
+    """
+    e, m = index.n_events, sum(s.dt.size for s in index.strata)
+    return 8 * (e * (5 + 3 * P + K) + m * P + (P * K) ** 2 + P * P + P * K) + 2 * e * K
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -406,8 +480,8 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         If a linear predictor is non-finite (diverged coefficients).
     CapacityError
         If the full Hessian is requested and P*K exceeds
-        ``FULL_HESSIAN_GUARD``, or its pass would need more bytes than the
-        machine's physical memory.
+        ``FULL_HESSIAN_GUARD``, or a full or a blocks pass would need more
+        bytes than the machine's physical memory.
     """
     P = dataset.P
     K = basis.values.shape[1]
@@ -418,10 +492,9 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     if want_full:
         if P * K > FULL_HESSIAN_GUARD:
             raise CapacityError(f"full Hessian size {P * K} exceeds guard {FULL_HESSIAN_GUARD}")
-        need, have = _full_pass_bytes(index, P, K, separable), _physical_memory()
-        if have is not None and need > have:
-            raise CapacityError(f"full Hessian pass needs about {need / 2**30:.1f} GiB, "
-                                f"more than the {have / 2**30:.1f} GiB of physical memory")
+        _require_memory(_full_pass_bytes(index, P, K, separable), "full Hessian pass")
+    elif want_blocks:
+        _require_memory(_pass_bytes(index, P, K, "blocks"), "Hessian blocks pass")
 
     # covariate pairs (p, q) whose K x K blocks the pass builds
     pairs = (np.triu_indices(P) if want_full and not separable
@@ -429,7 +502,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     ll = 0.0
     kept = []  # each stratum's risk-set means
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
-    Hf = np.zeros((P * K, P * K)) if want_full else None
+    Hf = second = None  # allocated after a stratum's chunk loop
     if pairs is not None:
         pair_blocks = np.zeros((pairs[0].size, K, K))
     if separable:
@@ -437,7 +510,6 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         # every other pair's d_g B_g B_g' entry is zero at every event time
         nz = basis.values[np.concatenate([s.event_rows for s in index.strata])] != 0
         ku = np.nonzero(np.triu(nz.T @ nz))
-        second = np.zeros((P * ku[0].size, P))
 
     for s in index.strata:
         Bg, U = _factors(s, basis.values, Theta)
@@ -464,12 +536,18 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             W = (means[:, P:] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
             pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
         if separable:
+            if second is None:
+                second = np.zeros((P * ku[0].size, P))
             _add_second_moments(second, s.Xs, C)
-            C = spread = None  # released before the mean term's buffers
+            C = spread = None  # released before Hf and the mean term's buffers
+            if Hf is None:
+                Hf = np.zeros((P * K, P * K))
             _add_mean_term(Hf, Zbar, Bg, d)
         # released before the next stratum's pass allocates its own
         Bg = U = lse = means = W = None
 
+    if want_full and Hf is None:
+        Hf = np.zeros((P * K, P * K))
     H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
         # with T spread pairs, row p*T + t, column q of the second moments
@@ -509,18 +587,51 @@ def full_hessian(dataset, index, basis, theta) -> np.ndarray:
 
 def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
                     theta, risk_set_means=None) -> ScoreResiduals:
-    """Per-event residuals Psi and the empirical information V = Psi' Psi.
+    """Per-event residual factors, their sum and the empirical information V = Psi' Psi.
 
     ``risk_set_means`` are the risk-set means of a pass made at theta, as
     ``LikelihoodReport.risk_set_means`` or ``FitResult.risk_set_means`` keep
     them; the residuals are then built from them with no risk-set pass.
-    Without them, one gradient pass at theta computes them.
+    Without them, one gradient pass at theta computes them.  The events are
+    taken in order of time, so the events where a basis function is
+    non-zero are one run of rows, and each block of V is made over the rows
+    where both of its functions can be non-zero; Psi itself is not formed.
+
+    Raises
+    ------
+    CapacityError
+        If the residuals and V would need more bytes than the machine's
+        physical memory.
     """
+    P, K = dataset.P, basis.values.shape[1]
+    _require_memory(_residual_bytes(index, P, K), "score residuals")
     if risk_set_means is None:
         risk_set_means = evaluate_report(dataset, index, basis, theta).risk_set_means
-    P, K = dataset.P, basis.values.shape[1]
+    # each event's row of its stratum's means, stacked over the strata
+    starts = np.cumsum([0] + [Z.shape[0] for Z in risk_set_means[:-1]])
+    group = np.concatenate([s.event_group + a for s, a in zip(index.strata, starts)])
     rows = np.concatenate([s.event_rows for s in index.strata])
-    zbar = np.concatenate([Z[s.event_group] for s, Z in zip(index.strata, risk_set_means)])
-    psi = ((dataset.covariates[rows] - zbar)[:, :, None]
-           * basis.values[rows][:, None, :]).reshape(rows.size, P * K)
-    return ScoreResiduals(psi=psi, event_rows=rows, total=psi.sum(axis=0), V=psi.T @ psi)
+    by_time = np.argsort(dataset.time[rows], kind="stable")
+    rows, group = rows[by_time], group[by_time]
+    centered = dataset.covariates[rows]
+    centered -= np.concatenate(risk_set_means)[group]
+    group = by_time = None  # released before the basis rows and V
+    B = basis.values[rows]
+    nz = B != 0
+    overlap = nz.T @ nz  # the basis pairs that are both non-zero at some event
+    first, stop = _spans(B.T)  # each basis function's run of events [first, stop)
+    V = np.zeros((P * K, P * K))
+    V4 = V.reshape(P, K, P, K)  # block (k, l) of the basis pairs is V4[:, k, :, l]
+    for k in range(K):
+        if not overlap[k, k]:
+            continue
+        Ck = centered[first[k]:stop[k]] * B[first[k]:stop[k], k, None]
+        V4[:, k, :, k] = Ck.T @ Ck  # a symmetric product
+        for l in range(k + 1, K):
+            if overlap[k, l]:
+                a, b = max(first[k], first[l]), min(stop[k], stop[l])
+                block = Ck[a - first[k]:b - first[k]].T @ (centered[a:b] * B[a:b, l, None])
+                V4[:, k, :, l] = block
+                V4[:, l, :, k] = block.T
+    return ScoreResiduals(event_rows=rows, total=(centered.T @ B).reshape(-1), V=V,
+                          centered=centered, basis_rows=B)

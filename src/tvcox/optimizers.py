@@ -193,22 +193,30 @@ def _ridged_solve(A: np.ndarray, rhs: np.ndarray, ridge: float, label: str):
 
     A is a negated Hessian (block or full), expected positive semi-definite;
     escalation covers indefiniteness from sparse right-tail risk sets.  The
-    Cholesky factorization is the positive-definiteness test.
+    Cholesky factorization is the positive-definiteness test.  The ridge
+    overwrites A's own diagonal, so no copy of A is made: each try sets it
+    from a saved copy of the diagonal to ``diagonal + eps``, which rounds as
+    ``A + eps I`` would, and the saved diagonal is written back before the
+    function returns or raises.  A is therefore unchanged afterwards, but
+    must not be read elsewhere while the solve runs.
     """
+    diagonal = A.diagonal().copy()
     eps = ridge
-    while True:
-        ridged = A.copy()
-        ridged.flat[::A.shape[0] + 1] += eps
-        try:
-            np.linalg.cholesky(ridged)
-        except np.linalg.LinAlgError:
-            if eps >= RIDGE_CEIL:
-                raise ConditioningError(
-                    f"{label} not positive definite up to ridge {RIDGE_CEIL}") from None
-            eps = 1e-8 if eps == 0 else eps * 10
-            eps = min(eps, RIDGE_CEIL)
-        else:
-            return np.linalg.solve(ridged, rhs), eps
+    try:
+        while True:
+            A.flat[::A.shape[0] + 1] = diagonal + eps
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                if eps >= RIDGE_CEIL:
+                    raise ConditioningError(
+                        f"{label} not positive definite up to ridge {RIDGE_CEIL}") from None
+                eps = 1e-8 if eps == 0 else eps * 10
+                eps = min(eps, RIDGE_CEIL)
+            else:
+                return np.linalg.solve(A, rhs), eps
+    finally:
+        A.flat[::A.shape[0] + 1] = diagonal
 
 
 def mmsa_block_quantities(report: lk.LikelihoodReport, p: int, ridge: float):
@@ -271,6 +279,18 @@ class _Problem:
             self._latest = None  # released before the new pass allocates its arrays
             self._latest = (wants, lk.evaluate_report(*self.data, theta, **wants))
         return self._latest[1]
+
+    def negated_hessian(self, theta) -> np.ndarray:
+        """The full Hessian of the pass at theta, negated in place and detached from it.
+
+        The kept report no longer holds the array, and no longer counts as a
+        full pass, so a later request for one at theta makes a fresh pass;
+        its log likelihood and means stay readable.
+        """
+        rep = self.report(theta, want_full=True)
+        H, rep.full_hessian = rep.full_hessian, None
+        self._latest = (None, rep)
+        return np.negative(H, out=H)
 
     def loglik(self, theta: np.ndarray) -> float:
         """Full-data log likelihood at theta, read off the latest pass when it was made
@@ -435,14 +455,15 @@ def _backtrack(problem: _Problem, theta, direction, g_dot_d, ll0, unit_wants=Non
 def _newton_step(problem: _Problem, config: MmsaConfig):
     def step(theta, m, ll_prev):
         rep = problem.report(theta, want_full=True)
-        # move holds neither the report nor its Hessian: it reads the Hessian off
-        # this pass, which the problem keeps, so both are freed with the next pass
+        # move holds neither the report nor its Hessian: it takes the Hessian off
+        # this pass, which the problem keeps, and solves with it in place, so
+        # the array is freed once the solve returns
         ll, g = rep.loglik, rep.gradient
         gnorm = np.abs(g).max()
 
         def move(theta):
-            flat_dir, _ = _ridged_solve(-problem.report(theta, want_full=True).full_hessian,
-                                        g, config.ridge, "full Hessian")
+            flat_dir, _ = _ridged_solve(problem.negated_hessian(theta), g, config.ridge,
+                                        "full Hessian")
             moved = _backtrack(problem, theta, flat_dir.reshape(theta.shape),
                                float(g @ flat_dir), ll, {"want_full": True})
             if moved is None:

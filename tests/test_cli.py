@@ -501,7 +501,9 @@ class TestBenchCommand:
 
     def test_full_hessian_beyond_memory_fails_with_capacity(self, tmp_path, capsys,
                                                             monkeypatch):
-        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: 1 << 10)
+        # between what MMSA's blocks passes need on these replicates (at most
+        # 59152 bytes) and what Newton's full passes need (at least 61432)
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: 60_000)
         out = tmp_path / "b.csv"
         rc, stdout, _ = run(self.bench_args(out), capsys)
         assert rc == 0  # MMSA needs no full Hessian
@@ -571,3 +573,30 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
 
+
+
+def test_fit_frees_the_loaded_dataset_before_the_residuals(tmp_path, capsys, monkeypatch):
+    # the fit runs on its own standardized copy, so only the covariate names
+    # of the loaded dataset are needed once it returns
+    import weakref
+
+    data = simulate_csv(tmp_path, capsys)
+    loaded, alive = [], []
+    real_load, real_residuals = cli.load_csv, cli.likelihood.score_residuals
+
+    def load(path):
+        dataset = real_load(path)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def residuals(*args):
+        alive.append(loaded[0]() is not None)
+        return real_residuals(*args)
+    monkeypatch.setattr(cli, "load_csv", load)
+    monkeypatch.setattr(cli.likelihood, "score_residuals", residuals)
+    rc, _, err = run(["fit", "--data", data, "--K", "4", "--optimizer", "newton",
+                      "--out", str(tmp_path / "fit")], capsys)
+    assert rc == 0, err
+    assert alive == [False]
+    _, _, rows = read_rows(tmp_path / "fit" / "tests.csv")
+    assert [r[0] for r in rows] == ["x1", "x2"]

@@ -226,12 +226,12 @@ class TestWaldStatistic:
         A = rng.normal(size=(P * K + 5, P * K))
         V = A.T @ A + np.eye(P * K)
         theta = rng.normal(size=(P, K))
-        clean = tv.likelihood.ScoreResiduals(psi=A, event_rows=np.arange(A.shape[0]),
+        clean = tv.likelihood.ScoreResiduals(event_rows=np.arange(A.shape[0]),
                                              total=A.sum(axis=0), V=V)
         for p in range(P):
             want = wald_test_empirical(theta, clean, p)
             block = slice(p * K, (p + 1) * K)
-            dirty = tv.likelihood.ScoreResiduals(psi=A, event_rows=clean.event_rows,
+            dirty = tv.likelihood.ScoreResiduals(event_rows=clean.event_rows,
                                                  total=clean.total, V=np.full_like(V, np.nan))
             dirty._V_inverse = np.full_like(V, np.nan)
             dirty._V_inverse[block, block] = clean._V_inverse[block, block]
@@ -292,7 +292,7 @@ class TestCovariance:
         ds, spec, fit, resid, _ = fitted_instance(435, n=300)
         rng = np.random.default_rng(19)
         a = rng.normal(size=(2, 8))
-        ridged = tv.likelihood.ScoreResiduals(psi=a, event_rows=np.arange(2),
+        ridged = tv.likelihood.ScoreResiduals(event_rows=np.arange(2),
                                               total=a.sum(axis=0), V=a.T @ a)
         theta_ridged = rng.normal(size=(2, 4))
         # one bundle each: the V of a fit, and a rank-2 V that needs a ridge
@@ -513,3 +513,30 @@ class TestCrossValidation:
             assert str(exc.value) == (f"unknown optimizer '{name}'; "
                                       "choose from ['coordinate', 'mmsa', 'newton']")
         assert fit_by_name("newton") is newton_fit
+
+
+def test_in_place_ridge_of_the_inverse_equals_the_identity_form():
+    import tvcox.inference as inference_module
+
+    # a rank-6 information of size 8 needs the ridge; adding it onto V's own
+    # diagonal and inverting the factor directly gives the bits that
+    # ``V + eps * scale * I`` and a solve against the identity gave
+    rng = np.random.default_rng(35)
+    a = rng.normal(size=(6, 8))
+    V = a.T @ a
+    before = V.copy()
+    scale, eps = float(np.abs(V).max()), 0.0
+    while True:
+        try:
+            L = np.linalg.cholesky(V + eps * scale * np.eye(8))
+            break
+        except np.linalg.LinAlgError:
+            eps = inference_module.RIDGE_START if eps == 0.0 else eps * 10
+    assert eps > 0
+    L_inv = np.linalg.solve(L, np.eye(8))
+    want = L_inv.T @ L_inv
+    np.testing.assert_array_equal(inference_module._inverse_spd(V, "test"), want)
+    np.testing.assert_array_equal(V, before)  # the diagonal was written back
+    ints = np.array([[2, 1], [1, 2]])
+    np.testing.assert_array_equal(inference_module._factor_spd(ints, "test", False),
+                                  np.linalg.cholesky(ints.astype(float)))

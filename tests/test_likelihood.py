@@ -582,8 +582,8 @@ def test_blocks_pass_holds_one_moment_array():
 
 def test_separable_pass_reuses_bounded_chunk_buffers():
     # n=2000, P=40, K=8 (PK=320, 26 spread pairs, about 1000 event times):
-    # the second moments and the mean term are made a chunk at a time in one
-    # buffer each, under 1 MiB, beside Hf (0.8 MiB).  A fresh 2 MiB
+    # the second moments are made a chunk at a time in one buffer and the
+    # mean term one basis-span run at a time, each under 1 MiB, beside Hf (0.8 MiB).  A fresh 2 MiB
     # second-moment chunk made before the last is freed, the whole m x PK
     # mean-term array (2.5 MiB) and a transposed copy of Hf to symmetrize it
     # peaked at 6.3 MiB
@@ -802,3 +802,146 @@ def test_full_pass_bytes_bound_the_traced_peak(n, P, K, J):
     finally:
         tracemalloc.stop()
     assert peak <= likelihood_module._full_pass_bytes(index, P, K, P > K)
+
+
+def _assert_residuals_match_brute_force(ds, index, basis, theta):
+    """V, the column sum and the on-request Psi against the brute-force residuals."""
+    res = tv.score_residuals(ds, index, basis, theta)
+    order, want = brute_score_residuals(ds, basis.values, theta)
+    got = {int(r): row for r, row in zip(res.event_rows, res.psi)}
+    assert sorted(got) == sorted(int(r) for r in order)
+    for i, r in enumerate(order):
+        np.testing.assert_allclose(got[int(r)], want[i], rtol=1e-10, atol=1e-12)
+    V = want.T @ want
+    np.testing.assert_allclose(res.total, want.sum(axis=0), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(res.V, V, rtol=1e-10, atol=1e-12 * np.abs(V).max())
+    np.testing.assert_array_equal(res.V, res.V.T)
+    return res
+
+
+@pytest.mark.parametrize("P,K,J", [(4, 3, 1), (2, 3, 1), (5, 4, 2), (2, 5, 2)])
+def test_residual_factors_match_brute_force(P, K, J):
+    # P > K and P <= K, in one stratum and in two
+    ds, spec, basis, index = make_instance(241 + P + J, n=70, P=P, K=K, J=J,
+                                           degree=min(3, K - 1))
+    assert len(index.strata) == J
+    theta = np.random.default_rng(29).normal(0, 0.3, (P, K))
+    _assert_residuals_match_brute_force(ds, index, basis, theta)
+
+
+def test_residual_block_of_a_pair_that_overlaps_at_no_event_is_zero():
+    # hat functions with peaks at 0, 0.25, 0.5, 0.75 and 1: functions 1 and 2
+    # overlap on (0.25, 0.5), where subjects are only censored
+    n, P = 60, 3
+    rng = np.random.default_rng(30)
+    time = np.r_[rng.uniform(0.02, 0.24, 20), rng.uniform(0.27, 0.48, 15),
+                 rng.uniform(0.52, 0.98, 25)]
+    status = np.r_[rng.random(20) < 0.8, np.zeros(15, dtype=bool), rng.random(25) < 0.8]
+    ds = tv.SurvivalDataset(time=time, status=status,
+                            stratum=rng.integers(0, 2, n), stratum_labels=("a", "b"),
+                            covariates=rng.standard_normal((n, P)),
+                            covariate_names=tuple(f"x{p}" for p in range(P)))
+    spec = tv.SplineSpec(degree=1, interior=np.array([0.25, 0.5, 0.75]), domain=(0.0, 1.0))
+    basis, index = tv.evaluate_batch(spec, ds.time), tv.build_risk_index(ds)
+    nz = basis.values[ds.status == 1] != 0
+    both = nz.T @ nz
+    assert both[1, 1] and both[2, 2] and not both[1, 2]
+    theta = rng.normal(0, 0.3, (P, 5))
+    res = _assert_residuals_match_brute_force(ds, index, basis, theta)
+    V4 = res.V.reshape(P, 5, P, 5)
+    assert not V4[:, 1, :, 2].any() and not V4[:, 2, :, 1].any()
+
+
+def test_residuals_peak_below_one_psi():
+    # n=2000, P=40, K=8 (setting 1): Psi alone is n_events x PK, about 2.6 MiB;
+    # the factors, V and two blocks' factors fit below it
+    n, P, K = 2000, 40, 8
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(31).normal(0, 0.05, (P, K))
+    means = evaluate_report(ds, index, basis, theta).risk_set_means
+    psi_bytes = 8 * index.n_events * P * K
+    tracemalloc.start()
+    try:
+        res = tv.score_residuals(ds, index, basis, theta, means)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < psi_bytes
+    assert peak <= likelihood_module._residual_bytes(index, P, K)
+    np.testing.assert_array_equal(res.V, res.V.T)
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
+def test_blocks_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatch):
+    ds, spec, basis, index = make_instance(202, n=40, P=P, K=K)
+    theta = np.zeros((P, K))
+    need = likelihood_module._pass_bytes(index, P, K, "blocks")
+    assert need < likelihood_module._full_pass_bytes(index, P, K, P > K)
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="physical memory") as raised:
+        evaluate_report(ds, index, basis, theta, want_blocks=True)
+    assert raised.value.code == "CAPACITY"
+    evaluate_report(ds, index, basis, theta)  # a gradient pass is not limited by it
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need)
+    evaluate_report(ds, index, basis, theta, want_blocks=True)
+
+
+def test_residuals_beyond_physical_memory_are_a_capacity_error(monkeypatch):
+    ds, spec, basis, index = make_instance(203, n=40, P=3, K=3)
+    theta = np.zeros((3, 3))
+    need = likelihood_module._residual_bytes(index, 3, 3)
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="physical memory") as raised:
+        tv.score_residuals(ds, index, basis, theta)
+    assert raised.value.code == "CAPACITY"
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need)
+    tv.score_residuals(ds, index, basis, theta)
+
+
+@pytest.mark.parametrize("n,P,K,J", [(4000, 4, 5, 1), (4000, 4, 5, 8), (2000, 40, 8, 1)])
+def test_blocks_pass_and_residual_bytes_bound_the_traced_peak(n, P, K, J):
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, J=J, seed=13))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(32).normal(0, 0.05, (P, K))
+    tracemalloc.start()
+    try:
+        means = evaluate_report(ds, index, basis, theta, want_blocks=True).risk_set_means
+        _, blocks_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()  # the means, which the caller holds
+        tv.score_residuals(ds, index, basis, theta, means)
+        _, residuals_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks_peak <= likelihood_module._pass_bytes(index, P, K, "blocks")
+    assert residuals_peak - held <= likelihood_module._residual_bytes(index, P, K)
+
+
+def test_full_pass_and_solve_bytes_bound_the_traced_peak():
+    # a wide instance, PK = 960: Hf (7 MiB) outweighs the second moments
+    # (4 MiB), and the pass and Newton's solve of its Hessian peak where Hf
+    # is held beside the mean term or beside the solve's Cholesky factor
+    from tvcox import optimizers
+
+    n, P, K = 800, 160, 6
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=14))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(33).normal(0, 0.01, (P, K))
+    tracemalloc.start()
+    try:
+        rep = evaluate_report(ds, index, basis, theta, want_full=True)
+        H, rep.full_hessian = rep.full_hessian, None
+        direction, _ = optimizers._ridged_solve(np.negative(H, out=H), rep.gradient,
+                                                1e-8, "full Hessian")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(direction).all()
+    assert 8 * (P * K) ** 2 * 2 < peak <= likelihood_module._full_pass_bytes(index, P, K, True)

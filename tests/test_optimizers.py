@@ -745,3 +745,67 @@ def test_ridge_escalation_is_unchanged():
     want, want_eps = ridged_solve_with_eye(A, rhs, 1e-8, "test")
     assert eps == want_eps == pytest.approx(1e-5) and np.array_equal(got, want)
     assert A[1, 1] == -1e-6  # the ridge went onto a copy
+
+
+def ridged_solve_on_a_copy(A, rhs, ridge, label):
+    """``_ridged_solve`` as it was: the ridge added to a fresh copy of A on each try."""
+    eps = ridge
+    while True:
+        ridged = A.copy()
+        ridged.flat[::A.shape[0] + 1] += eps
+        try:
+            np.linalg.cholesky(ridged)
+        except np.linalg.LinAlgError:
+            if eps >= optimizers.RIDGE_CEIL:
+                raise ConditioningError(label) from None
+            eps = min(1e-8 if eps == 0 else eps * 10, optimizers.RIDGE_CEIL)
+        else:
+            return np.linalg.solve(ridged, rhs), eps
+
+
+def test_in_place_ridge_equals_the_copy_after_two_escalations():
+    # a dense 12 x 12 block whose least eigenvalue is -5e-7: the ridges 1e-8
+    # and 1e-7 fail, and 1e-6 passes
+    rng = np.random.default_rng(34)
+    M = rng.standard_normal((12, 12))
+    A = M @ M.T
+    A -= (np.linalg.eigvalsh(A)[0] + 5e-7) * np.eye(12)
+    rhs = rng.standard_normal(12)
+    before = A.copy()
+    want, want_eps = ridged_solve_on_a_copy(A, rhs, 1e-8, "test")
+    got, eps = optimizers._ridged_solve(A, rhs, 1e-8, "test")
+    assert eps == want_eps == pytest.approx(1e-6)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(A, before)  # the diagonal was written back
+    with pytest.raises(ConditioningError):
+        optimizers._ridged_solve(-np.eye(3), np.ones(3), 1e-8, "test")
+
+
+def test_a_newton_step_that_moves_nothing_gets_a_fresh_full_pass(monkeypatch):
+    # the solve negates the pass's own Hessian in place; when the line search
+    # moves nothing, the next iteration starts at the same theta, and the
+    # kept report must not hand that consumed Hessian out again
+    ds, spec, _, _ = make_instance(19, n=80, P=2, K=3)
+    monkeypatch.setattr(optimizers, "_backtrack", lambda *args: None)
+    real_report, real_pass = optimizers._Problem.report, optimizers.lk.evaluate_report
+    handed, full_passes = [], []
+
+    def report(self, theta, **wants):
+        rep = real_report(self, theta, **wants)
+        if wants.get("want_full"):
+            handed.append(None if rep.full_hessian is None else rep.full_hessian.copy())
+        return rep
+
+    def counted(*args, **wants):
+        full_passes.append(bool(wants.get("want_full")))
+        return real_pass(*args, **wants)
+    monkeypatch.setattr(optimizers._Problem, "report", report)
+    monkeypatch.setattr(optimizers.lk, "evaluate_report", counted)
+    fit = tv.newton_fit(ds, spec, MmsaConfig(tol=1e-8))
+    monkeypatch.undo()
+    assert fit.iterations == 0 and fit.reason == "loglik-relative-change"
+    # the first step's pass, the solve's read of it, and a fresh pass for the second step
+    assert len(handed) == 3 and sum(full_passes) == 2
+    fresh = tv.full_hessian(*fit.fitting_data, np.zeros((2, 3)))
+    for H in handed:
+        np.testing.assert_array_equal(H, fresh)
