@@ -93,8 +93,8 @@ class SurvivalDataset:
         object.__setattr__(self, "covariates", X)
         object.__setattr__(self, "stratum_labels", tuple(self.stratum_labels))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-        empty = [self.stratum_labels[j] for j in range(len(self.stratum_labels))
-                 if status[stratum == j].sum() == 0]
+        events = np.bincount(stratum, weights=status, minlength=len(self.stratum_labels))
+        empty = [self.stratum_labels[j] for j in np.flatnonzero(events == 0)]
         if empty:
             warnings.warn(
                 f"strata with zero events contribute nothing: {', '.join(map(str, empty))}",
@@ -163,7 +163,8 @@ class RiskIndex:
     """Per-stratum risk-set structure for a dataset.
 
     Each stratum is built from its rows in descending-time order, ties by
-    row index.  Without ``orders`` one sort per stratum gives them.
+    row index.  Without ``orders`` one sort of all rows by stratum, then
+    descending time, then row index gives them, split at the strata's counts.
     ``orders`` gives them directly, one per stratum, in the dataset's own
     row numbers: a subsample draw passes each of the full index's orders
     filtered by its row mask, which keeps them sorted, so the draw's index
@@ -173,10 +174,8 @@ class RiskIndex:
 
     def __init__(self, dataset: SurvivalDataset, orders=None):
         if orders is None:
-            orders = []
-            for j in range(dataset.J):
-                rows = np.flatnonzero(dataset.stratum == j)
-                orders.append(rows[np.lexsort((rows, -dataset.time[rows]))])
+            order = np.lexsort((np.arange(dataset.n), -dataset.time, dataset.stratum))
+            orders = np.split(order, np.cumsum(np.bincount(dataset.stratum)[:-1]))
         self.strata = [_StratumIndex(order, dataset.time, dataset.status, dataset.covariates)
                        for order in orders if dataset.status[order].any()]
         self.n_events = int(sum(s.event_rows.size for s in self.strata))

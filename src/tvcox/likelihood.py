@@ -68,26 +68,26 @@ which uses
     C_i = sum_g d_g w_gi B_g B_g',
 
 so the pass spreads the entries k <= l of each d_g B_g B_g' over its
-risk set instead.  The second moments are ``(Xs (x) C)' Xs``, one GEMM per
-chunk of subjects, each chunk written into one buffer that all of a
-stratum's chunks reuse, so no n x P*T array is formed.  The second
-moments are allocated after a stratum's chunk loop, and Hf after its
-second moments, so neither is held beside the buffers made before it
-unless an earlier stratum made it.
-B-splines have local support, so B_k B_l is zero at every event time for
-basis functions far enough apart (a cubic basis: four or more).  Only the
-pairs whose functions are both non-zero at some event time are spread;
-the others' second moments are sums of exact zeros, so their Hessian
-entries are the mean term alone.  The second moments of a spread pair
-(k, l) are P x P; symmetrized, they are subtracted from entry (k, l) of
-every K x K block of the Hessian, and from entry (l, k), so the Hessian
-is exactly symmetric.  The same support shapes the mean term
-``sum_g d_g (zbar_g zbar_g') (x) (B_g B_g')``: B_g is non-zero on one span
-of at most degree + 1 consecutive basis functions, and event times in
-order share a span in runs.  Each run of width w adds ``ZB' ZB``, row g of
-ZB being ``zbar_g (x) sqrt(d_g) B_g`` on the span, a (P w) x (P w)
-symmetric product, into the principal submatrix of the span, so no m x PK
-array and no PK x PK product is formed.
+risk set instead.  B-splines have local support, so B_k B_l is zero at
+every event time for basis functions far enough apart (a cubic basis: four
+or more); only the pairs whose functions are both non-zero at some event
+time are spread, and every other entry of the Hessian is zero.  Each
+spread pair t = (k, l) has one P x P block, whose entry (p, q) is entry
+(k, l), and entry (l, k), of the Hessian's K x K block (p, q).  Each
+stratum adds
+
+    Z'Z - Y'Y,   Z = Zbar sqrt(W_t),   Y = Xs sqrt(C_t)
+
+to it, with ``W_t = d B_k B_l`` over the run of event times where it is
+non-zero, and ``C_t`` over the rows of their risk sets, the prefix up to L
+at the run's last event time.  Both weights are non-negative where the
+basis is, which every B-spline basis is, and the separable form requires
+it of the event rows.  numpy computes each Gram ``A'A`` as an exactly
+symmetric product, so the blocks, and Hf, are exactly symmetric.
+``_weighted_gram`` makes each Gram a row chunk at a time, in one buffer, so
+no n x P*T array is formed.  The pairs' blocks are allocated after the
+first stratum's chunk loop, and Hf after the last stratum, so neither is
+held beside the first stratum's chunk buffers, nor Hf beside any.
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 
@@ -108,7 +108,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import RiskIndex, SurvivalDataset
-from .errors import CapacityError, NumericOverflowError
+from .errors import CapacityError, InvalidSpecError, NumericOverflowError
 from .splines import BasisMatrix
 
 __all__ = [
@@ -310,66 +310,29 @@ def _uniform_pass(s, A, spread):
     return lse, means
 
 
-def _chunk_rows(n: int, width: int, least: int) -> int:
-    """Rows per chunk where n rows of ``width`` products are made a chunk at a time.
-
-    ``_CHUNK_ENTRIES // width`` rows, but at least ``least``, then stretched
-    so that the n rows split into equal chunks with no short one left over:
-    never more than n, nor twice the unstretched length.
-    """
-    return -(-n // max(1, n // max(least, _CHUNK_ENTRIES // width)))
-
-
-def _add_second_moments(out, Xs, C):
-    """Add ``sum_i (x_i (x) C_i) x_i'`` to ``out`` (P*T x P), a row chunk at a time.
-
-    Every chunk's n_r x P*T products are written into one buffer, and every
-    chunk's GEMM into one P*T x P product.  A chunk has at least P rows (or
-    all n), so the product is never larger than a chunk.
-    """
-    n, P = Xs.shape
-    step = _chunk_rows(n, P * C.shape[1], P)
-    buf = np.empty((step, P, C.shape[1]))
-    prod = np.empty_like(out)
-    for r in range(0, n, step):
-        X = Xs[r:r + step]
-        XC = np.multiply(X[:, :, None], C[r:r + step, None, :], out=buf[:X.shape[0]])
-        out += np.matmul(XC.reshape(X.shape[0], -1).T, X, out=prod)
-
-
 def _spans(B):
     """Each row's non-zero span of columns ``[first, stop)`` (``[0, K)`` for a zero row)."""
     nz = B != 0
     return nz.argmax(axis=1), B.shape[1] - nz[:, ::-1].argmax(axis=1)
 
 
-def _add_mean_term(out, Zbar, Bg, d):
-    """Add ``sum_g d_g (zbar_g zbar_g') (x) (B_g B_g')`` to ``out`` (PK x PK).
+def _weighted_gram(M, w):
+    """``M' diag(w) M`` (P x P) for an n x P ``M`` and non-negative weights ``w``.
 
-    Once per run of consecutive event times whose basis rows share one
-    non-zero span ``[k0, k0 + w)``: ``ZB' ZB``, row g of ZB being
-    ``zbar_g (x) sqrt(d_g) B_g[k0:k0 + w]``, is added into the principal
-    submatrix of the span, entries ``(p, k), (q, l)`` with k, l in the span.
-    sqrt(d) on both factors weights the term by d, and numpy computes
-    ``ZB' ZB`` as a symmetric product, so the term is exactly symmetric.  A
-    run longer than ``_chunk_rows`` allows is made in chunks of at least
-    P w rows, so the product is never larger than a chunk.
+    The Gram ``A' A`` of ``A = M sqrt(w)``, made a row chunk of at most
+    ``_CHUNK_ENTRIES`` entries, but at least P rows, at a time, so a chunk's
+    P x P product is never larger than the chunk; every chunk is written
+    into one buffer.  numpy computes each ``A' A`` as an exactly symmetric
+    product, so their sum is exactly symmetric.
     """
-    m, P = Zbar.shape
-    K = Bg.shape[1]
-    H4 = out.reshape(P, K, P, K)
-    first, stop = _spans(Bg)
-    cut = np.flatnonzero((first[1:] != first[:-1]) | (stop[1:] != stop[:-1])) + 1
-    sB = Bg * np.sqrt(d)[:, None]
-    for a, b in zip(np.r_[0, cut], np.r_[cut, m]):
-        k0, k1 = first[a], stop[a]
-        Pw = P * (k1 - k0)
-        step = _chunk_rows(b - a, Pw, Pw)
-        span = H4[:, k0:k1, :, k0:k1]
-        for r in range(a, b, step):
-            e = min(r + step, b)
-            ZB = (Zbar[r:e, :, None] * sB[r:e, None, k0:k1]).reshape(e - r, Pw)
-            np.add(span, (ZB.T @ ZB).reshape(span.shape), out=span)
+    n, P = M.shape
+    step = max(P, _CHUNK_ENTRIES // P)
+    buf = np.empty((min(n, step), P))
+    out = np.zeros((P, P))
+    for r in range(0, n, step):
+        A = np.multiply(M[r:r + step], np.sqrt(w[r:r + step, None]), out=buf[:min(step, n - r)])
+        out += A.T @ A
+    return out
 
 
 def _physical_memory() -> int | None:
@@ -403,38 +366,37 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     stratum's pass, so they are counted once.  A full pass hands Hf to the
     solve, which ridges it in place; the Cholesky factor and LAPACK's copy
     of Hf in the solve are two more arrays of its size.  The separable form
-    is counted with all K(K+1)/2 basis pairs and with a mean-term span K
-    wide; it spreads only the pairs that overlap at some event time, and a
-    span is at most degree + 1 wide, so its count is an upper bound.
+    is counted with all K(K+1)/2 basis pairs, and with their blocks held
+    from the start, as they are from the second stratum on; it spreads only
+    the pairs that overlap at some event time, so its count is an upper
+    bound.
     """
     n = max(s.order.size for s in index.strata)
     m = max(s.dt.size for s in index.strata)
     PK = P * K
     chunk = min(_CHUNK_TIMES, m) * n
     entries = n * (1 + K) + m * K + chunk + P * sum(s.dt.size for s in index.strata) + PK
-    if form == "separable":
+    # the moment array [Xs, pair products]; its risk-set means and the
+    # pairs' weighted form with its temporaries; the basis products B_g B_g'
+    # the pair blocks contract it with, and the pair blocks with their
+    # products.  A separable pass builds the P diagonal pairs' blocks when
+    # asked for them too, so they are counted for it as for a blocks pass
+    pairs = P * (P + 1) // 2 if form == "product" else P
+    entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
+    if form == "product":
+        entries += 3 * PK * PK  # Hf beside its solve
+    elif form == "separable":
         T = K * (K + 1) // 2
-        # Hf, and the largest of four stages that follow one another: the chunk
-        # loop's spread C, one C-sized addition to it, the means and the spread
-        # weights (the moments are Xs itself, read in place); C, the P*T x P
-        # second moments, their chunks' GEMM product and the chunk buffer of
-        # at most twice _chunk_rows' unstretched length; the second moments
-        # beside the mean term's scaled basis rows, its chunk, bounded the same
-        # way, and its product; the solve's factor and LAPACK's copy
-        entries += PK * PK + max(
-            2 * n * T + m * (P + T),
-            n * T + m * T + 2 * P * P * T + min(n, 2 * max(P, _CHUNK_ENTRIES // (P * T))) * P * T,
-            P * P * T + m * (K + 2) + min(m * PK, 2 * max(PK * PK, _CHUNK_ENTRIES)) + PK * PK,
-            2 * PK * PK)
-    else:
-        # the moment array [Xs, pair products]; its risk-set means and the
-        # pairs' weighted form with its temporaries; the basis products
-        # B_g B_g' the pair blocks contract it with, and the pair blocks with
-        # their products; for the full Hessian, Hf beside its solve
-        pairs = P if form == "blocks" else P * (P + 1) // 2
-        entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
-        if form == "product":
-            entries += 3 * PK * PK
+        # one _weighted_gram: its chunk buffer, the chunk's square-root
+        # weights, its product and their sum
+        gram = min(n, max(P, _CHUNK_ENTRIES // P)) * (P + 1) + 2 * P * P
+        # the largest of four stages that follow one another: the T P x P pair
+        # blocks beside the chunk loop's spread C, one C-sized addition to
+        # it, the means and the spread weights; the blocks beside C, the
+        # weights and a Gram; the blocks beside Hf; Hf beside the solve's
+        # factor and LAPACK's copy of it
+        entries += max(P * P * T + max(2 * n * T + m * (P + T), n * T + m * T + gram, PK * PK),
+                       3 * PK * PK)
     return 8 * entries + chunk
 
 
@@ -482,6 +444,10 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         If the full Hessian is requested and P*K exceeds
         ``FULL_HESSIAN_GUARD``, or a full or a blocks pass would need more
         bytes than the machine's physical memory.
+    InvalidSpecError
+        If the full Hessian takes the separable form (P > K) and a basis row
+        of an event is negative somewhere: the form takes square roots of
+        d B_k B_l.  No basis this package builds has a negative entry.
     """
     P = dataset.P
     K = basis.values.shape[1]
@@ -502,13 +468,18 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     ll = 0.0
     kept = []  # each stratum's risk-set means
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
-    Hf = second = None  # allocated after a stratum's chunk loop
+    # separable: each spread basis pair's P x P block, Z'Z - Y'Y summed over
+    # the strata, allocated after the first stratum's chunk loop
+    pair_grams = None
     if pairs is not None:
         pair_blocks = np.zeros((pairs[0].size, K, K))
     if separable:
+        nz = basis.values[np.concatenate([s.event_rows for s in index.strata])]
+        if (nz < 0).any():
+            raise InvalidSpecError("the separable full Hessian needs non-negative basis rows")
         # the basis pairs k <= l that are both non-zero at some event time;
         # every other pair's d_g B_g B_g' entry is zero at every event time
-        nz = basis.values[np.concatenate([s.event_rows for s in index.strata])] != 0
+        nz = nz != 0  # the event rows' values are released
         ku = np.nonzero(np.triu(nz.T @ nz))
 
     for s in index.strata:
@@ -536,30 +507,26 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             W = (means[:, P:] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
             pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
         if separable:
-            if second is None:
-                second = np.zeros((P * ku[0].size, P))
-            _add_second_moments(second, s.Xs, C)
-            C = spread = None  # released before Hf and the mean term's buffers
-            if Hf is None:
-                Hf = np.zeros((P * K, P * K))
-            _add_mean_term(Hf, Zbar, Bg, d)
+            Wt = spread[0]  # each spread pair's weights d B_k B_l
+            if pair_grams is None:
+                pair_grams = np.zeros((ku[0].size, P, P))
+            # each spread pair t's run of event times [a, b) where its weights
+            # are non-zero, and the prefix of their risk sets; a pair with no
+            # event in this stratum adds nothing
+            for t, (a, b) in enumerate(zip(*_spans(Wt.T))):
+                if Wt[a, t]:
+                    pair_grams[t] -= _weighted_gram(s.Xs[:s.L[b - 1]], C[:s.L[b - 1], t])
+                    pair_grams[t] += _weighted_gram(Zbar[a:b], Wt[a:b, t])
         # released before the next stratum's pass allocates its own
-        Bg = U = lse = means = W = None
+        Bg = U = lse = means = W = spread = Wt = C = None
 
-    if want_full and Hf is None:
-        Hf = np.zeros((P * K, P * K))
+    Hf = np.zeros((P * K, P * K)) if want_full else None
     H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
-        # with T spread pairs, row p*T + t, column q of the second moments
-        # is entry (p, k), (q, l) of spread pair t = (k, l), and (p, l), (q, k);
-        # the mean term is exactly symmetric, so subtracting each pair's
-        # symmetrized P x P block keeps Hf exactly symmetric
+        # spread pair (k, l)'s block is entry (k, l) of every K x K block, and
+        # entry (l, k); it is a sum of exactly symmetric Grams, so Hf is too
         for t, (k, l) in enumerate(zip(*ku)):
-            S = second[t::ku[0].size]
-            S = 0.5 * (S + S.T)
-            H4[:, k, :, l] -= S
-            if k != l:
-                H4[:, l, :, k] -= S
+            H4[:, k, :, l] = H4[:, l, :, k] = pair_grams[t]
     elif want_full:
         H4[pairs[0], :, pairs[1], :] = H4[pairs[1], :, pairs[0], :] = -pair_blocks
 

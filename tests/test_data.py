@@ -300,6 +300,32 @@ def test_risk_index_matches_direct_scan():
             expect = np.flatnonzero((ds.stratum == j) & (ds.time >= ds.time[event_row]))
             np.testing.assert_array_equal(got, expect)
 
+    # 40 strata of 1 to 11 subjects in shuffled rows with tied times, among
+    # them eventless strata, one-subject strata with and without an event,
+    # and a code with no subjects at all
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 12, 40)
+    sizes[[0, 9, 17]] = 1
+    sizes[30] = 0
+    stratum = np.repeat(np.arange(40), sizes)
+    rng.shuffle(stratum)
+    time = np.round(rng.exponential(1.0, stratum.size), 1)
+    status = (rng.random(stratum.size) < 0.5) & ~np.isin(stratum, [4, 9, 21, 22])
+    status[stratum == 0] = True
+    with pytest.warns(UserWarning, match="zero events"):
+        ds = tv.SurvivalDataset(time, status, stratum, tuple(f"s{j}" for j in range(40)),
+                                rng.standard_normal((stratum.size, 2)), ("x0", "x1"))
+    index = tv.build_risk_index(ds)
+    with_events = [j for j in range(40) if status[stratum == j].any()]
+    assert len(index.strata) == len(with_events) and 0 in with_events
+    for si, (s, j) in enumerate(zip(index.strata, with_events)):
+        # each stratum's own sort: descending time, ties by row index
+        rows = np.flatnonzero(stratum == j)
+        np.testing.assert_array_equal(s.order, rows[np.lexsort((rows, -time[rows]))])
+        for event_row in s.event_rows:
+            expect = np.flatnonzero((stratum == j) & (time >= time[event_row]))
+            np.testing.assert_array_equal(index.risk_set(si, event_row), expect)
+
 
 def test_risk_index_event_accounting():
     ds, _, _, index = make_instance(12, n=80, J=2)

@@ -6,7 +6,7 @@ import pytest
 
 import tvcox as tv
 import tvcox.likelihood as likelihood_module
-from tvcox import CapacityError, NumericOverflowError
+from tvcox import CapacityError, InvalidSpecError, NumericOverflowError
 from tvcox.likelihood import as_matrix, as_vector, evaluate_report
 
 from conftest import make_instance
@@ -401,8 +401,9 @@ def test_pass_memory_is_linear_in_stratum_size():
 
 
 # With P > K the full Hessian takes the separable form: the pass spreads
-# d_g B_g B_g' over each risk set and a row-chunked GEMM gives the second
-# moments.  Every instance above has P <= K and takes the product form.
+# d_g B_g B_g' over each risk set and row-chunked weighted Grams give each
+# spread basis pair's second moments and mean term.  Every instance above
+# has P <= K and takes the product form.
 SEPARABLE = [(4, 3), (5, 2)]
 
 
@@ -410,19 +411,22 @@ def _separable_instance(seed, P, K, n=60, J=2):
     return make_instance(seed, n=n, P=P, K=K, J=J, degree=min(2, K - 1))
 
 
-def _row_chunks(n, P, K, chunk):
-    return -(-n // max(1, chunk // (P * K * (K + 1) // 2)))
-
-
 def _count_separable_strata(monkeypatch):
-    calls = []
-    real = likelihood_module._add_second_moments
+    """One entry per stratum whose risk-set pass spreads basis pairs."""
+    return _record_spread_pairs(monkeypatch)
 
-    def counted(out, Xs, C):
-        calls.append(Xs.shape[0])
-        real(out, Xs, C)
-    monkeypatch.setattr(likelihood_module, "_add_second_moments", counted)
-    return calls
+
+def _record_gram_chunks(monkeypatch):
+    """The number of row chunks of every weighted Gram a pass makes."""
+    chunks = []
+    real = likelihood_module._weighted_gram
+
+    def recorded(M, w):
+        n, P = M.shape
+        chunks.append(-(-n // max(P, likelihood_module._CHUNK_ENTRIES // P)))
+        return real(M, w)
+    monkeypatch.setattr(likelihood_module, "_weighted_gram", recorded)
+    return chunks
 
 
 def _assert_full_hessian_matches_fd(ds, index, basis, theta):
@@ -445,11 +449,11 @@ def test_separable_hessian_matches_finite_differences(P, K, monkeypatch):
     calls = _count_separable_strata(monkeypatch)
     theta = np.random.default_rng(15).normal(0, 0.3, (P, K))
     _assert_full_hessian_matches_fd(ds, index, basis, theta)
-    assert len(calls) == 2  # one GEMM pass per stratum: the separable form ran
+    assert len(calls) == 2  # one separable assembly per stratum: the separable form ran
 
 
-# both constants shrunk: a pass of many event-time chunks, and second
-# moments in many row chunks of at most `chunk` entries (the test id)
+# both constants shrunk: a pass of many event-time chunks, and weighted
+# Grams in many row chunks of at most `chunk` entries (the test id)
 @pytest.mark.parametrize("P,K", SEPARABLE)
 @pytest.mark.parametrize("chunk, width", [(1, 1), (60, 3)], ids=["1", "60"])
 def test_separable_hessian_in_many_chunks(P, K, chunk, width, monkeypatch):
@@ -458,11 +462,12 @@ def test_separable_hessian_in_many_chunks(P, K, chunk, width, monkeypatch):
     ds, spec, basis, index = _separable_instance(171, P, K)
     for s in index.strata:
         assert _chunk_count(s, width) >= 3
-        assert _row_chunks(s.order.size, P, K, chunk) >= 3
     calls = _count_separable_strata(monkeypatch)
     theta = np.random.default_rng(16).normal(0, 0.3, (P, K))
+    chunks = _record_gram_chunks(monkeypatch)
     rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
     assert len(calls) == len(index.strata)
+    assert sum(c > 1 for c in chunks) >= 3  # Grams made in more than one chunk
     _assert_matches_brute_force(ds, index, basis, theta, rep)
     monkeypatch.undo()
     whole = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
@@ -601,6 +606,98 @@ def test_separable_pass_reuses_bounded_chunk_buffers():
         tracemalloc.stop()
     assert np.array_equal(H, H.T)
     assert peak < 4.5 * 2 ** 20
+
+
+def test_separable_pass_peaks_below_hf_its_second_moments_and_a_span_product():
+    # n=1000, P=200, K=5, cubic (PK=1000, T=14 spread pairs): Hf (7.6 MiB)
+    # beside the T pairs' P x P blocks (4.3 MiB) and small buffers.  Forming
+    # each basis-span run's (P w) x (P w) mean-term product (4.9 MiB at
+    # w = degree + 1) beside them peaked at 19.4 MiB
+    n, P, K = 1000, 200, 5
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    nz = basis.values[ds.status == 1] != 0
+    T = np.count_nonzero(np.triu(nz.T @ nz))
+    assert T == 14
+    theta = np.random.default_rng(29).normal(0, 0.01, (P, K))
+    tracemalloc.start()
+    try:
+        H = evaluate_report(ds, index, basis, theta, want_full=True).full_hessian
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(H, H.T)
+    assert peak < 8 * ((P * K) ** 2 + T * P * P + (P * 4) ** 2)
+
+
+def test_separable_hessian_with_strata_of_disjoint_event_times(monkeypatch):
+    # stratum 1's times all follow stratum 0's, so the basis functions of the
+    # early times have no event in stratum 1 and those of the late times none
+    # in stratum 0: some spread pairs add nothing in one stratum
+    P, K = 6, 5
+    ds, _, _, _ = make_instance(241, n=70, P=P, K=K, J=2)
+    late = ds.stratum == 1
+    ds = tv.SurvivalDataset(np.where(late, ds.time + 10.0, ds.time), ds.status, ds.stratum,
+                            ds.stratum_labels, ds.covariates, ds.covariate_names)
+    spec = tv.make_spec(degree=2, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    per_stratum = [basis.values[s.event_rows] != 0 for s in index.strata]
+    spread = [np.triu(nz.T @ nz) for nz in per_stratum]
+    assert len(spread) == 2 and (spread[0] != spread[1]).any()
+    calls = _count_separable_strata(monkeypatch)
+    theta = np.random.default_rng(31).normal(0, 0.3, (P, K))
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert len(calls) == 2
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
+
+
+def test_separable_hessian_refuses_a_negative_basis():
+    # the separable form takes square roots of d B_k B_l: a hand-made basis
+    # with a negative entry at an event is refused before the pass
+    P, K = 4, 3
+    ds, spec, basis, index = _separable_instance(251, P, K)
+    values = basis.values.copy()
+    values[np.flatnonzero(ds.status == 1)[0], 1] = -0.25
+    negative = tv.BasisMatrix(times=basis.times, values=values)
+    theta = np.zeros((P, K))
+    with pytest.raises(InvalidSpecError, match="non-negative"):
+        evaluate_report(ds, index, negative, theta, want_full=True)
+    # the other passes, and the product form at P <= K, do not take roots
+    evaluate_report(ds, index, negative, theta, want_blocks=True)
+    narrow = tv.SurvivalDataset(ds.time, ds.status, ds.stratum, ds.stratum_labels,
+                                ds.covariates[:, :K], ds.covariate_names[:K])
+    evaluate_report(narrow, tv.build_risk_index(narrow), negative, np.zeros((K, K)),
+                    want_full=True)
+
+
+def test_weighted_gram_is_exactly_symmetric_in_any_number_of_chunks(monkeypatch):
+    rng = np.random.default_rng(41)
+    n, P = 2000, 7
+    M = rng.standard_normal((n, P))
+    w = rng.exponential(1.0, n)
+    w[::3] = 0.0
+    want = (M * w[:, None]).T @ M
+    gram = likelihood_module._weighted_gram
+    assert not gram(M, np.zeros(n)).any()
+    for chunk in (1 << 16, 64, 1):
+        monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES", chunk)
+        tracemalloc.start()
+        try:
+            got = gram(M, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if chunk < n * P:
+            # chunks of P rows or 64 entries, every one in one buffer, where
+            # a Gram of M in one piece holds a chunk of all n rows
+            assert peak < M.nbytes / 4
+        else:
+            assert peak >= M.nbytes
 
 
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
