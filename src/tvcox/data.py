@@ -1,10 +1,14 @@
-"""Survival data containers, CSV IO and the per-stratum risk index.
+"""Survival data containers, CSV IO and the risk index.
 
-The risk index is the piece every likelihood evaluation leans on: within a
-stratum, subjects are ordered by descending observed time (ties broken by
-original row index), so the risk set of any event time is a contiguous
-prefix of that ordering.  Events sharing a stratum and a tied time share
-one denominator, so they are grouped by distinct event time.
+The risk index is the piece every likelihood evaluation leans on.  It is
+one set of flat arrays over all strata, in one order: by stratum, then by
+descending observed time, ties broken by original row index, so within a
+stratum the risk set of any event time is a contiguous prefix of the
+stratum's rows.  Events sharing a stratum and a tied time share one
+denominator, so they are grouped by distinct event time, and the event
+times' arrays run over the strata in the same order.  A stratum is a set
+of slices of these arrays, with the same names and local meanings, and a
+subsample's index is one filter of the full index's order.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -126,59 +131,87 @@ class SurvivalDataset:
                 self.stratum_labels, self.covariates[rows], self.covariate_names)
 
 
-class _StratumIndex:
-    """Prefix/risk-set structure of one stratum with at least one event.
+class _Stratum:
+    """One stratum's slices of a ``RiskIndex``'s flat arrays.
 
-    ``order`` sorts the stratum's rows by descending time (ties by row
-    index), so the risk set at distinct event time ``dt[g]`` is
-    ``order[:L[g]]`` and ``L`` ascends.  ``d[g]`` events share that
-    denominator; their original rows are
+    The same names with the same meanings, local to the stratum: ``order``
+    sorts its rows by descending time (ties by row index), so the risk set
+    at distinct event time ``dt[g]`` is ``order[:L[g]]`` and ``L`` ascends.
+    ``d[g]`` events share that denominator; their original rows are
     ``event_rows[event_starts[g]:event_starts[g+1]]`` and ``SX[g]`` is the
     sum of their covariates.  ``Xs`` holds the covariates in ``order``.
-    Every array is O(n_j) or O(m_j); nothing is n_j x m_j.
+    ``event_group`` is each event's event time in the stratum.  Each is a
+    view of the flat arrays, but ``event_starts`` and ``event_group``, which
+    are made when read from ``bounds``, the flat ``event_starts`` of the
+    stratum's event times, so that no stratum holds a copy of them.
+    ``rows`` and ``times`` are the slices of the flat arrays over rows and
+    over event times that the stratum covers.  Every array is O(n_j) or
+    O(m_j); nothing is n_j x m_j.
     """
 
-    __slots__ = ("order", "dt", "L", "d", "event_rows", "event_starts",
-                 "event_group", "Xs", "SX")
+    __slots__ = ("order", "dt", "L", "d", "event_rows", "Xs", "SX", "rows", "times", "bounds")
 
-    def __init__(self, order, time, status, X):
-        self.order = order
-        ts = time[order]
-        ev_sorted = order[status[order] == 1]
-        tev = time[ev_sorted]
-        dt = np.unique(tev)[::-1]  # descending, so prefix lengths ascend
-        self.dt = dt
-        self.L = np.searchsorted(-ts, -dt, side="right")
-        gid = np.searchsorted(-dt, -tev)
-        self.event_rows = ev_sorted  # already grouped: tev is non-increasing
-        self.event_group = gid
-        starts = np.searchsorted(gid, np.arange(dt.size + 1))
-        self.event_starts = starts
-        self.d = np.diff(starts).astype(float)
-        self.Xs = X[order]
-        self.SX = np.add.reduceat(X[ev_sorted], starts[:-1], axis=0)
+    def __init__(self, index, rows, times):
+        self.rows, self.times = rows, times
+        self.bounds = index.event_starts[times.start:times.stop + 1]
+        self.order, self.Xs = index.order[rows], index.Xs[rows]
+        self.dt, self.L = index.dt[times], index.L[times]
+        self.d, self.SX = index.d[times], index.SX[times]
+        self.event_rows = index.event_rows[self.bounds[0]:self.bounds[-1]]
+
+    @property
+    def event_starts(self):
+        return self.bounds - self.bounds[0]
+
+    @property
+    def event_group(self):
+        return np.repeat(np.arange(self.dt.size), np.diff(self.bounds))
 
 
 class RiskIndex:
-    """Per-stratum risk-set structure for a dataset.
+    """The risk-set structure of a dataset, in flat arrays over all strata.
 
-    Each stratum is built from its rows in descending-time order, ties by
-    row index.  Without ``orders`` one sort of all rows by stratum, then
-    descending time, then row index gives them, split at the strata's counts.
-    ``orders`` gives them directly, one per stratum, in the dataset's own
-    row numbers: a subsample draw passes each of the full index's orders
-    filtered by its row mask, which keeps them sorted, so the draw's index
-    reads the dataset's arrays and needs no sort.  Strata without events
-    contribute nothing and are left out.
+    ``order`` sorts the rows by stratum, then descending time, then row
+    index, leaving out the strata without events, which contribute nothing;
+    ``Xs`` holds the covariates in that order.  Each distinct event time of
+    a stratum has its time ``dt``, its risk-set size ``L`` within the
+    stratum (its risk set is the stratum's first ``L`` rows of ``order``),
+    its event count ``d`` and its events' covariate sum ``SX``; its events'
+    rows are ``event_rows[event_starts[g]:event_starts[g+1]]``.  The
+    strata's rows start at ``row_starts`` and their event times at
+    ``time_starts``, and ``strata`` holds each stratum's slices of these
+    arrays.  Without ``order`` one sort gives it; a subsample draw passes
+    the full index's ``order`` filtered by its row mask, which keeps it
+    sorted, so the draw's index reads the dataset's arrays and needs no
+    sort.  One scan of where each stratum and each (stratum, time) run of
+    rows starts builds the rest.
     """
 
-    def __init__(self, dataset: SurvivalDataset, orders=None):
-        if orders is None:
+    def __init__(self, dataset: SurvivalDataset, order=None):
+        if order is None:
             order = np.lexsort((np.arange(dataset.n), -dataset.time, dataset.stratum))
-            orders = np.split(order, np.cumsum(np.bincount(dataset.stratum)[:-1]))
-        self.strata = [_StratumIndex(order, dataset.time, dataset.status, dataset.covariates)
-                       for order in orders if dataset.status[order].any()]
-        self.n_events = int(sum(s.event_rows.size for s in self.strata))
+        stratum, status = dataset.stratum[order], dataset.status[order]
+        order = order[np.bincount(stratum, weights=status)[stratum] > 0]
+        stratum, time, status = (a[order] for a in (dataset.stratum, dataset.time, dataset.status))
+        first = np.concatenate(([True], stratum[1:] != stratum[:-1]))  # a stratum's first row
+        runs = np.flatnonzero(first | np.concatenate(([True], time[1:] != time[:-1])))
+        # each run's end, the first row of its stratum and its events; the
+        # runs with events are the event times
+        ends = np.concatenate((runs[1:], [order.size]))
+        base = np.maximum.accumulate(np.where(first[runs], runs, 0))
+        count = np.add.reduceat(status, runs)
+        hit = np.flatnonzero(count)
+        runs, ends, base, count = runs[hit], ends[hit], base[hit], count[hit]
+        self.order, self.Xs = order, dataset.covariates[order]
+        self.dt, self.L, self.d = time[runs], ends - base, count.astype(float)
+        self.event_rows = order[status == 1]
+        self.event_starts = np.concatenate(([0], np.cumsum(count)))
+        self.SX = np.add.reduceat(self.Xs[status == 1], self.event_starts[:-1], axis=0)
+        self.row_starts = np.concatenate((np.flatnonzero(first), [order.size]))
+        self.time_starts = np.searchsorted(base, self.row_starts)
+        self.n_events = self.event_rows.size
+        self.strata = [_Stratum(self, slice(*rows), slice(*times)) for rows, times in
+                       zip(pairwise(self.row_starts), pairwise(self.time_starts))]
 
     def risk_set(self, stratum_index: int, event_row: int) -> np.ndarray:
         """Original rows at risk at the given event row's time (for checks)."""

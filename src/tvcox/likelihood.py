@@ -46,8 +46,9 @@ set's exact max as its shift.
 Where U is all zero, as at every fit's start Theta = 0, each risk weight is
 exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and the
 pass makes no GEMM and no exponential.  Every pass that computes first
-moments keeps each stratum's risk-set means on its report, from which
-``score_residuals`` builds the residuals without a pass of its own.
+moments writes every stratum's risk-set means into one array over all
+event times and keeps it on its report, from which ``score_residuals``
+builds the residuals without a pass of its own.
 Flat coefficient vectors follow the row-major convention theta =
 vec(Theta): block p occupies theta[p*K:(p+1)*K].
 
@@ -73,21 +74,25 @@ every event time for basis functions far enough apart (a cubic basis: four
 or more); only the pairs whose functions are both non-zero at some event
 time are spread, and every other entry of the Hessian is zero.  Each
 spread pair t = (k, l) has one P x P block, whose entry (p, q) is entry
-(k, l), and entry (l, k), of the Hessian's K x K block (p, q).  Each
-stratum adds
+(k, l), and entry (l, k), of the Hessian's K x K block (p, q).  The
+stratified likelihood is a sum over strata, and both terms of the block
+are sums over rows, so it is one difference of two Grams over all strata,
 
-    Z'Z - Y'Y,   Z = Zbar sqrt(W_t),   Y = Xs sqrt(C_t)
+    Z'Z - Y'Y,   Z = Zbar sqrt(W_t),   Y = Xs sqrt(C_t),
 
-to it, with ``W_t = d B_k B_l`` over the run of event times where it is
-non-zero, and ``C_t`` over the rows of their risk sets, the prefix up to L
-at the run's last event time.  Both weights are non-negative where the
-basis is, which every B-spline basis is, and the separable form requires
-it of the event rows.  numpy computes each Gram ``A'A`` as an exactly
-symmetric product, so the blocks, and Hf, are exactly symmetric.
-``_weighted_gram`` makes each Gram a row chunk at a time, in one buffer, so
-no n x P*T array is formed.  The pairs' blocks are allocated after the
-first stratum's chunk loop, and Hf after the last stratum, so neither is
-held beside the first stratum's chunk buffers, nor Hf beside any.
+made after the strata's passes: ``W_t = d B_k B_l`` over every stratum's
+event times and ``Zbar`` their risk-set means, ``C_t`` over every
+stratum's rows and ``Xs`` their covariates, each Gram over the rows where
+its weights are non-zero.  Both weights are non-negative where the basis
+is, which every B-spline basis is, and the separable form requires it of
+the event times' basis rows.  numpy computes each Gram ``A'A`` as an
+exactly symmetric product, so the blocks, and Hf, are exactly symmetric.
+So the pass holds C over every row (n x T), the weights over every event
+time (m x T) and the means (m x P) until the Grams are made;
+``_weighted_gram`` gathers each Gram's rows a chunk at a time into one
+buffer, so no n x P*T array is formed.  The T pairs' P x P blocks are
+made, and C and the weights released, before Hf is allocated, so Hf is
+held beside the blocks only, and beside no chunk loop's buffers.
 Each form's extra pass columns are its cost, so the separable form is used
 exactly when P(P+1)/2 > K(K+1)/2, that is when P > K.
 
@@ -151,8 +156,8 @@ class LikelihoodReport:
     the pass computed; a derivative that was not requested is None.
     ``risk_set_means`` holds, for every stratum of the index in order, the
     m x P risk-weighted means of the covariates over the risk sets of its m
-    distinct event times; a pass that computes no first moments (loglik
-    only) leaves it None.
+    distinct event times, each a view of one array over all strata; a pass
+    that computes no first moments (loglik only) leaves it None.
     """
 
     theta: np.ndarray            # P x K
@@ -310,27 +315,24 @@ def _uniform_pass(s, A, spread):
     return lse, means
 
 
-def _spans(B):
-    """Each row's non-zero span of columns ``[first, stop)`` (``[0, K)`` for a zero row)."""
-    nz = B != 0
-    return nz.argmax(axis=1), B.shape[1] - nz[:, ::-1].argmax(axis=1)
-
-
 def _weighted_gram(M, w):
     """``M' diag(w) M`` (P x P) for an n x P ``M`` and non-negative weights ``w``.
 
-    The Gram ``A' A`` of ``A = M sqrt(w)``, made a row chunk of at most
-    ``_CHUNK_ENTRIES`` entries, but at least P rows, at a time, so a chunk's
-    P x P product is never larger than the chunk; every chunk is written
-    into one buffer.  numpy computes each ``A' A`` as an exactly symmetric
-    product, so their sum is exactly symmetric.
+    The Gram ``A' A`` of ``A = M sqrt(w)`` over the rows where ``w`` is
+    non-zero, gathered a row chunk of at most ``_CHUNK_ENTRIES`` entries,
+    but at least P rows, at a time, so a chunk's P x P product is never
+    larger than the chunk; every chunk is written into one buffer.  numpy
+    computes each ``A' A`` as an exactly symmetric product, so their sum is
+    exactly symmetric.
     """
-    n, P = M.shape
+    rows, P = w.nonzero()[0], M.shape[1]
     step = max(P, _CHUNK_ENTRIES // P)
-    buf = np.empty((min(n, step), P))
+    buf = np.empty((min(rows.size, step), P))
     out = np.zeros((P, P))
-    for r in range(0, n, step):
-        A = np.multiply(M[r:r + step], np.sqrt(w[r:r + step, None]), out=buf[:min(step, n - r)])
+    for r in range(0, rows.size, step):
+        chunk = rows[r:r + step]
+        A = np.take(M, chunk, axis=0, out=buf[:chunk.size], mode="clip")  # unbuffered
+        A *= np.sqrt(w[chunk, None])
         out += A.T @ A
     return out
 
@@ -356,53 +358,50 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
 
     ``form`` is ``"blocks"`` (the gradient and the P diagonal Hessian
     blocks), or the full Hessian's ``"product"`` or ``"separable"`` form,
-    counted together with a Newton iteration's solve of it.  Counted at the
-    largest stratum: the vector of ones, U (n x K), Bg (m x K), the one
-    buffer of linear predictors that every chunk reuses and its band mask at
-    a byte an entry (at most ``_CHUNK_TIMES`` event times, so at most 32 n
-    entries each), the gradient and the risk-set means the report keeps for
-    every stratum (m x P each), and for each form its own arrays (see the
-    comments below).  Each stratum's arrays are released before the next
-    stratum's pass, so they are counted once.  A full pass hands Hf to the
-    solve, which ridges it in place; the Cholesky factor and LAPACK's copy
-    of Hf in the solve are two more arrays of its size.  The separable form
-    is counted with all K(K+1)/2 basis pairs, and with their blocks held
-    from the start, as they are from the second stratum on; it spreads only
-    the pairs that overlap at some event time, so its count is an upper
-    bound.
+    counted together with a Newton iteration's solve of it.  Held
+    throughout: the gradient and the risk-set means of every stratum (m x P
+    over all strata).  A stratum's pass is counted at the largest stratum:
+    the vector of ones, U (n x K), Bg (m x K), the one buffer of linear
+    predictors that every chunk reuses and its band mask at a byte an entry
+    (at most ``_CHUNK_TIMES`` event times, so at most 32 n entries each),
+    and for each form its own arrays (see the comments below).  Each
+    stratum's arrays are released before the next stratum's pass, so they
+    are counted once.  A full pass hands Hf to the solve, which ridges it in
+    place; the Cholesky factor and LAPACK's copy of Hf in the solve are two
+    more arrays of its size.  The separable form is counted with all
+    K(K+1)/2 basis pairs; it spreads only the pairs that overlap at some
+    event time, so its count is an upper bound.
     """
-    n = max(s.order.size for s in index.strata)
-    m = max(s.dt.size for s in index.strata)
-    PK = P * K
+    # the largest stratum's rows and event times
+    n, m = (int((a[1:] - a[:-1]).max()) for a in (index.row_starts, index.time_starts))
+    rows, times = index.order.size, index.dt.size  # over all strata
     chunk = min(_CHUNK_TIMES, m) * n
-    entries = n * (1 + K) + m * K + chunk + P * sum(s.dt.size for s in index.strata) + PK
     # the moment array [Xs, pair products]; its risk-set means and the
     # pairs' weighted form with its temporaries; the basis products B_g B_g'
     # the pair blocks contract it with, and the pair blocks with their
     # products.  A separable pass builds the P diagonal pairs' blocks when
     # asked for them too, so they are counted for it as for a blocks pass
     pairs = P * (P + 1) // 2 if form == "product" else P
+    entries = n * (1 + K) + m * K + chunk
     entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
     if form == "product":
-        entries += 3 * PK * PK  # Hf beside its solve
+        entries += 3 * (P * K) ** 2  # Hf beside its solve
     elif form == "separable":
         T = K * (K + 1) // 2
-        # one _weighted_gram: its chunk buffer, the chunk's square-root
-        # weights, its product and their sum
-        gram = min(n, max(P, _CHUNK_ENTRIES // P)) * (P + 1) + 2 * P * P
-        # the largest of four stages that follow one another: the T P x P pair
-        # blocks beside the chunk loop's spread C, one C-sized addition to
-        # it, the means and the spread weights; the blocks beside C, the
-        # weights and a Gram; the blocks beside Hf; Hf beside the solve's
-        # factor and LAPACK's copy of it
-        entries += max(P * P * T + max(2 * n * T + m * (P + T), n * T + m * T + gram, PK * PK),
-                       3 * PK * PK)
-    return 8 * entries + chunk
-
-
-def _full_pass_bytes(index: RiskIndex, P: int, K: int, separable: bool) -> int:
-    """``_pass_bytes`` of a full-Hessian pass in the separable or the product form."""
-    return _pass_bytes(index, P, K, "separable" if separable else "product")
+        # one _weighted_gram: the rows it reads, its chunk buffer, the
+        # chunk's square-root weights, its product and their sum; beside it
+        # the pair's other Gram
+        gram = rows + min(rows, max(P, _CHUNK_ENTRIES // P)) * (P + 2) + 3 * P * P
+        # the largest of four stages that follow one another: the event
+        # times' basis rows and two of their pair products beside the spread
+        # weights; a stratum's pass beside C over every row, the weights and
+        # one C-sized addition to C; the T P x P pair blocks beside C, the
+        # weights, a Gram and any diagonal pair blocks; Hf beside the solve's
+        # factor and LAPACK's copy of it, which outweighs the blocks beside Hf
+        spread = (rows + times) * T
+        entries = max(times * (K + 3 * T), entries + spread + n * T,
+                      spread + T * P * P + gram + pairs * K * K, 3 * (P * K) ** 2)
+    return 8 * (entries + P * times + P * K) + chunk
 
 
 def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
@@ -416,7 +415,7 @@ def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
     the column sum.  The means passed in, and a gradient pass made when none
     are, are not counted.
     """
-    e, m = index.n_events, sum(s.dt.size for s in index.strata)
+    e, m = index.n_events, index.dt.size
     return 8 * (e * (5 + 3 * P + K) + m * P + (P * K) ** 2 + P * P + P * K) + 2 * e * K
 
 
@@ -445,9 +444,10 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         ``FULL_HESSIAN_GUARD``, or a full or a blocks pass would need more
         bytes than the machine's physical memory.
     InvalidSpecError
-        If the full Hessian takes the separable form (P > K) and a basis row
-        of an event is negative somewhere: the form takes square roots of
-        d B_k B_l.  No basis this package builds has a negative entry.
+        If the full Hessian takes the separable form (P > K) and the basis
+        row of an event time is negative somewhere: the form takes square
+        roots of d B_k B_l.  No basis this package builds has a negative
+        entry.
     """
     P = dataset.P
     K = basis.values.shape[1]
@@ -458,7 +458,8 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     if want_full:
         if P * K > FULL_HESSIAN_GUARD:
             raise CapacityError(f"full Hessian size {P * K} exceeds guard {FULL_HESSIAN_GUARD}")
-        _require_memory(_full_pass_bytes(index, P, K, separable), "full Hessian pass")
+        form = "separable" if separable else "product"
+        _require_memory(_pass_bytes(index, P, K, form), "full Hessian pass")
     elif want_blocks:
         _require_memory(_pass_bytes(index, P, K, "blocks"), "Hessian blocks pass")
 
@@ -466,25 +467,26 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     pairs = (np.triu_indices(P) if want_full and not separable
              else (np.arange(P),) * 2 if want_blocks else None)
     ll = 0.0
-    kept = []  # each stratum's risk-set means
+    Zbar = None  # every stratum's risk-set means, made once the first stratum's pass returns
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
-    # separable: each spread basis pair's P x P block, Z'Z - Y'Y summed over
-    # the strata, allocated after the first stratum's chunk loop
-    pair_grams = None
     if pairs is not None:
         pair_blocks = np.zeros((pairs[0].size, K, K))
     if separable:
-        nz = basis.values[np.concatenate([s.event_rows for s in index.strata])]
-        if (nz < 0).any():
+        # the basis rows of every stratum's event times, the only rows a pass reads
+        Bg = basis.values[index.event_rows[index.event_starts[:-1]]]
+        if (Bg < 0).any():
             raise InvalidSpecError("the separable full Hessian needs non-negative basis rows")
         # the basis pairs k <= l that are both non-zero at some event time;
         # every other pair's d_g B_g B_g' entry is zero at every event time
-        nz = nz != 0  # the event rows' values are released
-        ku = np.nonzero(np.triu(nz.T @ nz))
+        ku = np.nonzero(np.triu((Bg != 0).T @ (Bg != 0)))
+        # each spread pair's weights d B_k B_l at every event time, and the
+        # spread C over every row, both over all strata
+        Wt = Bg[:, ku[0]] * Bg[:, ku[1]]
+        Wt *= index.d[:, None]
+        C = np.zeros((index.order.size, ku[0].size))
 
     for s in index.strata:
         Bg, U = _factors(s, basis.values, Theta)
-        d = s.d
         A = None if G is None else s.Xs
         if pairs is not None:
             # the covariates and their pair products side by side, one moment
@@ -493,40 +495,34 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
             A[:, :P] = s.Xs
             for c, (p, q) in enumerate(zip(*pairs)):
                 np.multiply(s.Xs[:, p], s.Xs[:, q], out=A[:, P + c])
-        C = np.zeros((s.order.size, ku[0].size)) if separable else None
-        spread = (Bg[:, ku[0]] * Bg[:, ku[1]] * d[:, None], C) if separable else None
+        spread = (Wt[s.times], C[s.rows]) if separable else None
         lse, means = _risk_set_pass(s, Bg, U, A, spread)
         A = None  # released before the means are read
-        ll += float((s.SX * (Bg @ Theta.T)).sum() - (d * lse).sum())
+        ll += float((s.SX * (Bg @ Theta.T)).sum() - (s.d * lse).sum())
         if means.shape[1]:  # the pass computed first moments
-            Zbar = np.ascontiguousarray(means[:, :P])  # a copy when the means are wider
-            kept.append(Zbar)
+            if Zbar is None:  # a gradient pass over one stratum returns them all
+                Zbar = means if means.shape == (index.dt.size, P) else np.empty((index.dt.size, P))
+            Zbar[s.times] = means[:, :P]  # nothing to copy where Zbar is the means
         if G is not None:
-            G += (s.SX - d[:, None] * Zbar).T @ Bg
+            G += (s.SX - s.d[:, None] * Zbar[s.times]).T @ Bg
         if pairs is not None:
-            W = (means[:, P:] - Zbar[:, pairs[0]] * Zbar[:, pairs[1]]) * d[:, None]
+            W = (means[:, P:] - Zbar[s.times, pairs[0]] * Zbar[s.times, pairs[1]]) * s.d[:, None]
             pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
-        if separable:
-            Wt = spread[0]  # each spread pair's weights d B_k B_l
-            if pair_grams is None:
-                pair_grams = np.zeros((ku[0].size, P, P))
-            # each spread pair t's run of event times [a, b) where its weights
-            # are non-zero, and the prefix of their risk sets; a pair with no
-            # event in this stratum adds nothing
-            for t, (a, b) in enumerate(zip(*_spans(Wt.T))):
-                if Wt[a, t]:
-                    pair_grams[t] -= _weighted_gram(s.Xs[:s.L[b - 1]], C[:s.L[b - 1], t])
-                    pair_grams[t] += _weighted_gram(Zbar[a:b], Wt[a:b, t])
         # released before the next stratum's pass allocates its own
-        Bg = U = lse = means = W = spread = Wt = C = None
+        Bg = U = lse = means = W = spread = None
 
+    if separable:
+        # each spread pair's P x P block over all strata, made before Hf;
+        # its Grams are exactly symmetric, so the block, and Hf, are too
+        spread_blocks = np.empty((ku[0].size, P, P))
+        for t in range(ku[0].size):
+            spread_blocks[t] = _weighted_gram(Zbar, Wt[:, t]) - _weighted_gram(index.Xs, C[:, t])
+        C = Wt = None
     Hf = np.zeros((P * K, P * K)) if want_full else None
     H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
-        # spread pair (k, l)'s block is entry (k, l) of every K x K block, and
-        # entry (l, k); it is a sum of exactly symmetric Grams, so Hf is too
-        for t, (k, l) in enumerate(zip(*ku)):
-            H4[:, k, :, l] = H4[:, l, :, k] = pair_grams[t]
+        # spread pair (k, l)'s block is entry (k, l) of every K x K block, and entry (l, k)
+        H4[:, ku[0], :, ku[1]] = H4[:, ku[1], :, ku[0]] = spread_blocks
     elif want_full:
         H4[pairs[0], :, pairs[1], :] = H4[pairs[1], :, pairs[0], :] = -pair_blocks
 
@@ -536,7 +532,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         gradient=G.reshape(-1) if G is not None else None,
         block_hessians=-pair_blocks[pairs[0] == pairs[1]] if want_blocks else None,
         full_hessian=Hf,
-        risk_set_means=tuple(kept) if kept else None,
+        risk_set_means=None if Zbar is None else tuple(Zbar[s.times] for s in index.strata),
     )
 
 
@@ -574,19 +570,18 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     _require_memory(_residual_bytes(index, P, K), "score residuals")
     if risk_set_means is None:
         risk_set_means = evaluate_report(dataset, index, basis, theta).risk_set_means
-    # each event's row of its stratum's means, stacked over the strata
-    starts = np.cumsum([0] + [Z.shape[0] for Z in risk_set_means[:-1]])
-    group = np.concatenate([s.event_group + a for s, a in zip(index.strata, starts)])
-    rows = np.concatenate([s.event_rows for s in index.strata])
-    by_time = np.argsort(dataset.time[rows], kind="stable")
-    rows, group = rows[by_time], group[by_time]
+    # each event's row of the means, stacked over the strata
+    group = np.repeat(np.arange(index.dt.size), np.diff(index.event_starts))
+    by_time = np.argsort(dataset.time[index.event_rows], kind="stable")
+    rows, group = index.event_rows[by_time], group[by_time]
     centered = dataset.covariates[rows]
     centered -= np.concatenate(risk_set_means)[group]
     group = by_time = None  # released before the basis rows and V
     B = basis.values[rows]
     nz = B != 0
     overlap = nz.T @ nz  # the basis pairs that are both non-zero at some event
-    first, stop = _spans(B.T)  # each basis function's run of events [first, stop)
+    # each basis function's run of events [first, stop) where it is non-zero
+    first, stop = nz.argmax(axis=0), len(nz) - nz[::-1].argmax(axis=0)
     V = np.zeros((P * K, P * K))
     V4 = V.reshape(P, K, P, K)  # block (k, l) of the basis pairs is V4[:, k, :, l]
     for k in range(K):

@@ -38,8 +38,9 @@ Stochastic MMSA draws its updates from subsamples, and the loop reads it
 only at the first iteration and after every window of 20 updates, by a
 loglik-only pass; a draw with no events, or with every block score below
 tol, makes no update and brings the next check no closer.  A draw is a
-risk index over a subset of the fit's own rows, read together with the
-fit's dataset and basis, so it copies no data.  The reported
+risk index over a subset of the fit's own rows, one filter of the flat
+order of the fit's index, read together with the fit's dataset and basis,
+so it copies no data and sorts nothing.  The reported
 log likelihood is read off the latest full-data pass when it was made at
 the returned theta, of whatever kind, since every pass kind reports the
 same value; otherwise a loglik-only pass is made there.
@@ -239,8 +240,8 @@ def _subsample(data: tuple, config: MmsaConfig, iteration: int) -> RiskIndex | N
 
     Counter-based: Philox keyed by the seed with the iteration as counter,
     so any iteration's draw is reproducible in isolation.  The draw keeps
-    the fit's ``(dataset, basis)`` and its row numbers: its index filters
-    each stratum's order in the fit's index by the drawn rows, which keeps
+    the fit's ``(dataset, basis)`` and its row numbers: its index is one
+    filter of the fit's index's flat order by the drawn rows, which keeps
     the order sorted, so a draw copies no data and sorts nothing.  Returns
     that index, or None when the draw contains no events.
     """
@@ -253,7 +254,7 @@ def _subsample(data: tuple, config: MmsaConfig, iteration: int) -> RiskIndex | N
     drawn[gen.choice(n, size=k, replace=False)] = True
     if not work.status[drawn].any():
         return None
-    return RiskIndex(work, [s.order[drawn[s.order]] for s in index.strata])
+    return RiskIndex(work, index.order[drawn[index.order]])
 
 
 class _Problem:

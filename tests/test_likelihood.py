@@ -587,9 +587,9 @@ def test_blocks_pass_holds_one_moment_array():
 
 def test_separable_pass_reuses_bounded_chunk_buffers():
     # n=2000, P=40, K=8 (PK=320, 26 spread pairs, about 1000 event times):
-    # the second moments are made a chunk at a time in one buffer and the
-    # mean term one basis-span run at a time, each under 1 MiB, beside Hf (0.8 MiB).  A fresh 2 MiB
-    # second-moment chunk made before the last is freed, the whole m x PK
+    # each spread pair's two weighted Grams are made a row chunk at a time,
+    # in one buffer of under 1 MiB, before Hf (0.8 MiB) is allocated.  A
+    # fresh 2 MiB chunk made before the last is freed, the whole m x PK
     # mean-term array (2.5 MiB) and a transposed copy of Hf to symmetrize it
     # peaked at 6.3 MiB
     n, P, K = 2000, 40, 8
@@ -652,6 +652,52 @@ def test_separable_hessian_with_strata_of_disjoint_event_times(monkeypatch):
     rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
     assert len(calls) == 2
     _assert_matches_brute_force(ds, index, basis, theta, rep)
+
+
+def _many_strata_instance(seed, P, K, J=20):
+    # J unequal strata in shuffled rows with tied times, among them
+    # one-subject strata with and without an event and eventless strata
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 14, J)
+    sizes[[0, 5, 11]] = 1
+    stratum = np.repeat(np.arange(J), sizes)
+    rng.shuffle(stratum)
+    time = np.round(rng.exponential(1.0, stratum.size), 1)
+    status = (rng.random(stratum.size) < 0.6) & ~np.isin(stratum, [3, 5, 14])
+    status[stratum == 0] = True
+    X = rng.standard_normal((stratum.size, P))
+    names = tuple(f"x{p}" for p in range(P))
+    with pytest.warns(UserWarning, match="zero events"):
+        ds = tv.SurvivalDataset(time, status, stratum, tuple(f"s{j}" for j in range(J)), X, names)
+    one = tv.SurvivalDataset(time, status, np.zeros(stratum.size, dtype=np.int64), ("s",), X, names)
+    basis = tv.evaluate_batch(tv.make_spec(degree=2, K=K, event_times=ds.event_times), ds.time)
+    return ds, one, basis
+
+
+def test_separable_hessian_on_many_small_strata_makes_two_grams_per_spread_pair(monkeypatch):
+    # 20 strata of 1 to 13 subjects, three of them eventless: each spread
+    # pair's two Grams are made once over every stratum's rows and event
+    # times, so a separable pass makes 2 T of them whatever the number of strata
+    P, K = 6, 5
+    ds, one, basis = _many_strata_instance(261, P, K)
+    index = tv.build_risk_index(ds)
+    sizes, events = np.bincount(ds.stratum), np.bincount(ds.stratum, weights=ds.status)
+    assert len(index.strata) == np.count_nonzero(events) >= 16
+    assert sizes[0] == sizes[5] == 1 and events[0] == 1 and events[5] == 0
+    nz = basis.values[ds.status == 1] != 0
+    T = np.count_nonzero(np.triu(nz.T @ nz))
+    assert 0 < T < K * (K + 1) // 2
+    calls = _count_separable_strata(monkeypatch)
+    grams = _record_gram_chunks(monkeypatch)
+    theta = np.random.default_rng(33).normal(0, 0.3, (P, K))
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    assert len(calls) == len(index.strata)  # one separable assembly per stratum with events
+    assert len(grams) == 2 * T
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
+    # the same rows in one stratum: as many Grams
+    grams.clear()
+    evaluate_report(one, tv.build_risk_index(one), basis, theta, want_full=True)
+    assert len(grams) == 2 * T
 
 
 def test_separable_hessian_refuses_a_negative_basis():
@@ -756,7 +802,7 @@ def test_chunks_compute_few_predictors_outside_the_risk_sets(n):
 def test_full_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatch):
     ds, spec, basis, index = make_instance(201, n=40, P=P, K=K)
     theta = np.zeros((P, K))
-    need = likelihood_module._full_pass_bytes(index, P, K, P > K)
+    need = likelihood_module._pass_bytes(index, P, K, "separable" if P > K else "product")
     monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityError, match="physical memory"):
         evaluate_report(ds, index, basis, theta, want_full=True)
@@ -772,7 +818,7 @@ def test_full_pass_without_a_memory_size_runs(monkeypatch):
     # where the platform does not say how much memory it has, the pass is
     # not limited by it: a full pass that any limit of 1 kB would refuse runs
     ds, spec, basis, index = make_instance(201, n=40, P=2, K=3)
-    assert likelihood_module._full_pass_bytes(index, 2, 3, False) > 1 << 10
+    assert likelihood_module._pass_bytes(index, 2, 3, "product") > 1 << 10
 
     def raises(name):
         raise ValueError(f"unknown configuration name {name}")
@@ -883,9 +929,10 @@ def test_zero_start_equals_the_chunk_loop(P, K, width, monkeypatch):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-# one stratum and many small ones, in the product (P <= K) and the separable form
+# one stratum and many small ones, in the product (P <= K) and the separable form,
+# whose all-strata Grams hold C over every row and the means of every stratum
 @pytest.mark.parametrize("n,P,K,J", [(4000, 4, 5, 1), (4000, 4, 5, 8), (2000, 12, 4, 1),
-                                     (3000, 8, 3, 2)])
+                                     (3000, 8, 3, 2), (4000, 8, 5, 16), (32000, 40, 5, 1024)])
 def test_full_pass_bytes_bound_the_traced_peak(n, P, K, J):
     ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, J=J, seed=12))
     spec = tv.make_spec(degree=min(3, K - 1), K=K, event_times=ds.event_times)
@@ -898,7 +945,7 @@ def test_full_pass_bytes_bound_the_traced_peak(n, P, K, J):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= likelihood_module._full_pass_bytes(index, P, K, P > K)
+    assert peak <= likelihood_module._pass_bytes(index, P, K, "separable" if P > K else "product")
 
 
 def _assert_residuals_match_brute_force(ds, index, basis, theta):
@@ -976,7 +1023,7 @@ def test_blocks_pass_beyond_physical_memory_is_a_capacity_error(P, K, monkeypatc
     ds, spec, basis, index = make_instance(202, n=40, P=P, K=K)
     theta = np.zeros((P, K))
     need = likelihood_module._pass_bytes(index, P, K, "blocks")
-    assert need < likelihood_module._full_pass_bytes(index, P, K, P > K)
+    assert need < likelihood_module._pass_bytes(index, P, K, "separable" if P > K else "product")
     monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityError, match="physical memory") as raised:
         evaluate_report(ds, index, basis, theta, want_blocks=True)
@@ -1041,4 +1088,4 @@ def test_full_pass_and_solve_bytes_bound_the_traced_peak():
     finally:
         tracemalloc.stop()
     assert np.isfinite(direction).all()
-    assert 8 * (P * K) ** 2 * 2 < peak <= likelihood_module._full_pass_bytes(index, P, K, True)
+    assert 8 * (P * K) ** 2 * 2 < peak <= likelihood_module._pass_bytes(index, P, K, "separable")

@@ -506,32 +506,34 @@ class TestDraws:
 
     def test_a_draws_index_is_the_index_of_the_drawn_rows(self):
         # the draw's index, mapped back through the drawn rows, equals the
-        # index built from a copy of them, and so does its blocks pass
-        ds, _, basis, index = make_instance(41, n=90, P=2, K=3, J=3)
+        # index built from a copy of them, and so does its blocks pass; on 3
+        # strata and on 12 small ones, of which a draw leaves some eventless
         config = MmsaConfig(subsample_fraction=0.15, seed=5)
         theta = np.random.default_rng(29).normal(0, 0.3, (2, 3))
         eventless_stratum = 0
-        for iteration in range(1, 30):
-            rows = drawn_rows(ds.n, config, iteration)
-            drawn = optimizers._subsample((ds, index, basis), config, iteration)
-            if not ds.status[rows].any():
-                assert drawn is None
-                continue
-            sub = ds.subset(rows)
-            built = tv.build_risk_index(sub)
-            assert len(drawn.strata) == len(built.strata)
-            eventless_stratum += len(built.strata) < len(np.unique(sub.stratum))
-            for got, want in zip(drawn.strata, built.strata):
-                assert np.array_equal(got.order, rows[want.order])
-                assert np.array_equal(got.event_rows, rows[want.event_rows])
-                for name in ("dt", "L", "d", "Xs", "SX", "event_starts", "event_group"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            sub_basis = tv.BasisMatrix(times=basis.times[rows], values=basis.values[rows])
-            got = evaluate_report(ds, drawn, basis, theta, want_blocks=True)
-            want = evaluate_report(sub, built, sub_basis, theta, want_blocks=True)
-            assert got.loglik == want.loglik
-            assert np.array_equal(got.gradient, want.gradient)
-            assert np.array_equal(got.block_hessians, want.block_hessians)
+        for J in (3, 12):
+            ds, _, basis, index = make_instance(41, n=90, P=2, K=3, J=J)
+            for iteration in range(1, 30):
+                rows = drawn_rows(ds.n, config, iteration)
+                drawn = optimizers._subsample((ds, index, basis), config, iteration)
+                if not ds.status[rows].any():
+                    assert drawn is None
+                    continue
+                sub = ds.subset(rows)
+                built = tv.build_risk_index(sub)
+                assert len(drawn.strata) == len(built.strata)
+                eventless_stratum += len(built.strata) < len(np.unique(sub.stratum))
+                for got, want in zip(drawn.strata, built.strata):
+                    assert np.array_equal(got.order, rows[want.order])
+                    assert np.array_equal(got.event_rows, rows[want.event_rows])
+                    for name in ("dt", "L", "d", "Xs", "SX", "event_starts", "event_group"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                sub_basis = tv.BasisMatrix(times=basis.times[rows], values=basis.values[rows])
+                got = evaluate_report(ds, drawn, basis, theta, want_blocks=True)
+                want = evaluate_report(sub, built, sub_basis, theta, want_blocks=True)
+                assert got.loglik == want.loglik
+                assert np.array_equal(got.gradient, want.gradient)
+                assert np.array_equal(got.block_hessians, want.block_hessians)
         assert eventless_stratum >= 1
 
     def test_a_stochastic_fit_sorts_once_and_copies_no_data(self, monkeypatch):
