@@ -30,25 +30,31 @@ fixed-width chunks of columns.  Because the prefix lengths ``L`` ascend, a
 chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
 ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
 its risk sets; those entries are set to ``-inf`` before exponentiation.
-A chunk spans at most 32 event times, whatever the stratum size, so it
-holds at most 32 n_j linear predictors, and every chunk of a pass writes
-them into the same buffer: memory is linear in the stratum size and no
-n_j x m array is ever formed.  A wider chunk would not pay on a small
-stratum: its band grows with the width, and every entry of the band is
-exponentiated only for the mask to discard it.  The predictors are formed
-on the K side: with ``U = Xs Theta`` (n_j x K), made once per stratum, a
-chunk's predictors are ``B_g U'``, whose inner dimension is K, not P.
+A chunk spans at most 32 event times, whatever the stratum size, and reads
+its rows in row blocks of at most 2048 (``_CHUNK_ENTRIES // _CHUNK_TIMES``),
+so a block holds at most 2^16 linear predictors.  S and the moments are
+sums over the blocks, and every block of a pass is written into the same
+buffer, so a pass without a spread holds 512 KiB of predictors whatever
+the stratum size, and no n_j x m array is ever formed.  Every pass kind
+takes the same blocks, so the log likelihood does not depend on the kind.
+A pass that spreads needs a chunk's S before it spreads the chunk, so it
+keeps the chunk's blocks side by side, at most 32 n_j predictors.  A wider
+chunk would not pay on a small stratum: its band grows with the width, and
+every entry of the band is exponentiated only for the mask to discard it.
+The predictors are formed on the K side: with ``U = Xs Theta`` (n_j x K),
+made once per stratum, a block's predictors are ``B_g U_blk'``, whose
+inner dimension is K, not P.
 Each chunk is exponentiated unshifted, so no row max or subtraction runs
 where its risk-set sums S all lie in [1e-250, 1e250].  A chunk whose S
 leave that range, which takes a predictor above about 575 or a risk set
 whose predictors all lie below about -575, is made again with each risk
-set's exact max as its shift.
+set's exact max over all of the chunk's blocks as its shift.
 Where U is all zero, as at every fit's start Theta = 0, each risk weight is
 exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and the
 pass makes no GEMM and no exponential.  Every pass that computes first
-moments writes every stratum's risk-set means into one array over all
-event times and keeps it on its report, from which ``score_residuals``
-builds the residuals without a pass of its own.
+moments writes every stratum's risk-set means into one m x P array over
+all event times and keeps that array on its report, from which
+``score_residuals`` builds the residuals without a pass of its own.
 Flat coefficient vectors follow the row-major convention theta =
 vec(Theta): block p occupies theta[p*K:(p+1)*K].
 
@@ -61,7 +67,11 @@ diagonal blocks (p = q) and the product form of the whole Hessian come
 from one pair path: the pass carries the products x_ip x_iq of a set of
 covariate pairs as extra moment columns, the P(P+1)/2 pairs p <= q for
 the product form or the P diagonal pairs when only the blocks are wanted,
-and each pair (p, q) gets its K x K block.  The full Hessian takes one of
+and each pair (p, q) gets its K x K block.  Its weights
+``d (mean of x_p x_q - zbar_p zbar_q)`` are written over the pair's
+moment means, and its block is made over the basis pairs k <= l that are
+both non-zero at some event time, entry (k, l) mirrored to (l, k), so
+that each block is exactly symmetric.  The full Hessian takes one of
 two forms: the product form, from the pairs p <= q, or the separable form,
 which uses
 
@@ -129,7 +139,7 @@ __all__ = [
 
 FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
-_CHUNK_ENTRIES = 1 << 16   # entries per GEMM row chunk: 512 KiB of float64
+_CHUNK_ENTRIES = 1 << 16   # entries per row block of a pass or per Gram row chunk: 512 KiB
 _S_FLOOR = 1e-250          # a chunk's risk-set sums outside [_S_FLOOR, 1 / _S_FLOOR]: made again
 
 
@@ -154,10 +164,11 @@ class LikelihoodReport:
 
     ``loglik`` is always set, and is the same value whichever derivatives
     the pass computed; a derivative that was not requested is None.
-    ``risk_set_means`` holds, for every stratum of the index in order, the
-    m x P risk-weighted means of the covariates over the risk sets of its m
-    distinct event times, each a view of one array over all strata; a pass
-    that computes no first moments (loglik only) leaves it None.
+    ``risk_set_means`` is the pass's one m x P array of the risk-weighted
+    means of the covariates over the risk sets of the index's m distinct
+    event times, every stratum's in index order (stratum j's rows are
+    ``index.strata[j].times``); a pass that computes no first moments
+    (loglik only) leaves it None.
     """
 
     theta: np.ndarray            # P x K
@@ -165,7 +176,7 @@ class LikelihoodReport:
     gradient: np.ndarray | None  # flat, PK
     block_hessians: np.ndarray | None  # P x K x K
     full_hessian: np.ndarray | None    # PK x PK
-    risk_set_means: tuple | None = field(default=None, repr=False, compare=False)
+    risk_set_means: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def P(self) -> int:
@@ -238,8 +249,10 @@ def _risk_set_pass(s, Bg, U, A=None, spread=None):
     come from one ``E @ A``, and without A from no product.
     ``spread``, if given, is a pair ``(W, C)`` of arrays with one row per
     event time and one row per subject: each row of W is spread over its
-    risk set by the risk weights, ``C += E (W / S)``.  Every chunk's
-    predictors are written into one buffer, so the pass holds one chunk.
+    risk set by the risk weights, ``C += E (W / S)``.  Without ``spread``
+    every row block of every chunk is written into one buffer of at most
+    ``_CHUNK_ENTRIES`` predictors; with it, the pass holds one chunk's
+    blocks side by side, at most ``_CHUNK_TIMES`` n predictors.
     Where ``U`` is all zero, ``_uniform_pass`` gives the same outputs in
     closed form.
     """
@@ -249,45 +262,93 @@ def _risk_set_pass(s, Bg, U, A=None, spread=None):
 
 
 def _chunk_loop(s, Bg, U, A, spread):
-    """``_risk_set_pass``'s outputs, a chunk of at most ``_CHUNK_TIMES`` event times at a time."""
+    """``_risk_set_pass``'s outputs, a chunk of at most ``_CHUNK_TIMES`` event times at a time.
+
+    A chunk of event times ``[a, b)`` reads the rows ``[0, L[b-1])``, taken
+    in row blocks of ``_CHUNK_ENTRIES // _CHUNK_TIMES`` rows, so a block
+    holds at most ``_CHUNK_ENTRIES`` predictors; S and the moments are sums
+    over the blocks of ``E_blk @ ones`` and ``E_blk @ A_blk``.  Every pass
+    kind takes the same blocks, so S, and the log likelihood, do not depend
+    on the pass kind.  A pass without ``spread`` writes every block into one
+    buffer.  A spreading pass needs S before it spreads, so it keeps a
+    chunk's blocks side by side in a buffer of the chunk's width times the
+    stratum's rows, and spreads them once S is known.
+    """
     n, m = s.order.size, s.dt.size
-    ones = np.ones(n)
+    step = max(1, _CHUNK_ENTRIES // _CHUNK_TIMES)  # rows per block
+    ones = np.ones(min(step, n))
     lse = np.empty(m)
     means = np.empty((m, 0 if A is None else A.shape[1]))
-    buf = np.empty(min(_CHUNK_TIMES, m) * n)
+    buf = np.empty(min(_CHUNK_TIMES, m) * (n if spread is not None else min(step, n)))
+    # row n - k of the stairs (3n bytes, a view) is k entries False, then
+    # True: the mask of a block's band for an event time whose risk set ends
+    # k rows into it.  A broadcast comparison would make each mask with
+    # buffers of up to 128 KiB
+    steps = np.zeros(3 * n, bool)
+    steps[n:] = True
+    stairs = np.ndarray((2 * n + 1, n), bool, steps, strides=(1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, m, _CHUNK_TIMES):
             b = min(a + _CHUNK_TIMES, m)
-            rows, lo = s.L[b - 1], s.L[a]
-            out = buf[:(b - a) * rows].reshape(b - a, rows)
-            outside = np.arange(lo, rows) >= s.L[a:b, None]
-            # one event time per row, unshifted: masked entries exp(-inf) = 0
-            eta = np.matmul(Bg[a:b], U[:rows].T, out=out)
-            eta[:, lo:rows][outside] = -np.inf
-            E = np.exp(eta, out=eta)
-            S = E @ ones[:rows]
+            Ba, La = Bg[a:b], s.L[a:b]
+            rows, lo = int(La[-1]), int(La[0])  # rows before lo are in every risk set
+            blocks = [(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+            def predictors(r0, r1, check=False):
+                """The block's predictors, each row one event time; its entries
+                outside the risk sets -inf, so that they exponentiate to 0."""
+                at = (b - a) * r0 if spread is not None else 0
+                eta = np.matmul(Ba, U[r0:r1].T, out=buf[at:at + (b - a) * (r1 - r0)]
+                                .reshape(b - a, r1 - r0))
+                if check:
+                    finite = np.all(np.isfinite(eta), axis=0)
+                    if not finite.all():
+                        row = s.order[r0 + np.flatnonzero(~finite)[0]]
+                        raise NumericOverflowError(
+                            f"non-finite linear predictor for subject row {int(row)}")
+                c = max(lo, r0)
+                if c < r1:
+                    np.copyto(eta[:, c - r0:], -np.inf, where=stairs[n + c - La, :r1 - c])
+                return eta
+
+            def sums(shift):
+                """S of the chunk's exponentials, shifted by ``shift``; their moments
+                ``E'A`` are written into the chunk's rows of the means."""
+                for r0, r1 in blocks:
+                    eta = predictors(r0, r1)
+                    if shift is not None:
+                        eta -= shift[:, None]
+                    E = np.exp(eta, out=eta)
+                    if r0 == 0:
+                        S = E @ ones[:r1]
+                        if A is not None:
+                            np.matmul(E, A[:r1], out=means[a:b])
+                    else:
+                        S += E @ ones[:r1 - r0]
+                        if A is not None:
+                            means[a:b] += E @ A[r0:r1]
+                return S
+
+            S = sums(None)  # unshifted
             shift = 0.0
             # every weight is at most S, so within the range E @ A overflows
             # only for moments beyond about 1e58
             if not np.all((S >= _S_FLOOR) & (S <= 1 / _S_FLOOR)):
-                # sums out of range, or a non-finite predictor: shift by the exact max
-                eta = np.matmul(Bg[a:b], U[:rows].T, out=out)
-                finite = np.all(np.isfinite(eta), axis=0)
-                if not finite.all():
-                    row = s.order[np.flatnonzero(~finite)[0]]
-                    raise NumericOverflowError(
-                        f"non-finite linear predictor for subject row {int(row)}")
-                eta[:, lo:rows][outside] = -np.inf
-                shift = eta.max(axis=1)
-                eta -= shift[:, None]
-                E = np.exp(eta, out=eta)
-                S = E @ ones[:rows]
+                # sums out of range, or a non-finite predictor: each event
+                # time's exact max over every block as its shift
+                shift = np.full(b - a, -np.inf)
+                for r0, r1 in blocks:
+                    np.maximum(shift, predictors(r0, r1, check=True).max(axis=1), out=shift)
+                S = sums(shift)
             lse[a:b] = np.log(S) + shift
             if A is not None:
-                means[a:b] = (E @ A[:rows]) / S[:, None]
+                means[a:b] /= S[:, None]
             if spread is not None:
                 W, C = spread
-                C[:rows] += E.T @ (W[a:b] / S[:, None])
+                V = W[a:b] / S[:, None]
+                for r0, r1 in blocks:
+                    E = buf[(b - a) * r0:(b - a) * r1].reshape(b - a, r1 - r0)
+                    C[r0:r1] += E.T @ V
     return lse, means
 
 
@@ -362,11 +423,12 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     throughout: the gradient and the risk-set means of every stratum (m x P
     over all strata).  A stratum's pass is counted at the largest stratum:
     the vector of ones, U (n x K), Bg (m x K), the one buffer of linear
-    predictors that every chunk reuses and its band mask at a byte an entry
-    (at most ``_CHUNK_TIMES`` event times, so at most 32 n entries each),
-    and for each form its own arrays (see the comments below).  Each
-    stratum's arrays are released before the next stratum's pass, so they
-    are counted once.  A full pass hands Hf to the solve, which ridges it in
+    predictors that every row block reuses and its band mask at a byte an
+    entry (at most ``_CHUNK_ENTRIES`` entries each; the separable form's
+    spreading pass keeps a chunk's blocks side by side, so at most
+    ``_CHUNK_TIMES`` n), and for each form its own arrays (see the comments
+    below).  Each stratum's arrays are released before the next stratum's
+    pass, so they are counted once.  A full pass hands Hf to the solve, which ridges it in
     place; the Cholesky factor and LAPACK's copy of Hf in the solve are two
     more arrays of its size.  The separable form is counted with all
     K(K+1)/2 basis pairs; it spreads only the pairs that overlap at some
@@ -375,12 +437,15 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     # the largest stratum's rows and event times
     n, m = (int((a[1:] - a[:-1]).max()) for a in (index.row_starts, index.time_starts))
     rows, times = index.order.size, index.dt.size  # over all strata
-    chunk = min(_CHUNK_TIMES, m) * n
-    # the moment array [Xs, pair products]; its risk-set means and the
-    # pairs' weighted form with its temporaries; the basis products B_g B_g'
-    # the pair blocks contract it with, and the pair blocks with their
-    # products.  A separable pass builds the P diagonal pairs' blocks when
-    # asked for them too, so they are counted for it as for a blocks pass
+    step = n if form == "separable" else min(n, max(1, _CHUNK_ENTRIES // _CHUNK_TIMES))
+    chunk = min(_CHUNK_TIMES, m) * step
+    # the moment array [Xs, pair products] and its risk-set means, over
+    # which the pairs' weights are written; then the basis products B_k B_l
+    # of the basis pairs k <= l (m x T), and the pair blocks over those
+    # pairs and as K x K blocks, counted with room to spare as m x (2 pairs
+    # + K^2) and 3 pairs x K^2 entries.  A separable pass builds the P
+    # diagonal pairs' blocks when asked for them too, so they are counted
+    # for it as for a blocks pass
     pairs = P * (P + 1) // 2 if form == "product" else P
     entries = n * (1 + K) + m * K + chunk
     entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
@@ -409,14 +474,13 @@ def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
 
     Over all n_e events: five index vectors (the event rows and their
     means' rows, the time order and both reordered); the centred
-    covariates, the risk-set means subtracted from them and the means of
-    every stratum side by side, or later two blocks' factors C_k and C_l;
-    the basis rows and two non-zero masks of them; then V, a P x P block and
-    the column sum.  The means passed in, and a gradient pass made when none
-    are, are not counted.
+    covariates and the risk-set means subtracted from them, or later two
+    blocks' factors C_k and C_l; the basis rows and two non-zero masks of
+    them; then V, a P x P block and the column sum.  The means passed in,
+    and a gradient pass made when none are, are not counted.
     """
-    e, m = index.n_events, index.dt.size
-    return 8 * (e * (5 + 3 * P + K) + m * P + (P * K) ** 2 + P * P + P * K) + 2 * e * K
+    e = index.n_events
+    return 8 * (e * (5 + 3 * P + K) + (P * K) ** 2 + P * P + P * K) + 2 * e * K
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -469,21 +533,24 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     ll = 0.0
     Zbar = None  # every stratum's risk-set means, made once the first stratum's pass returns
     G = np.zeros((P, K)) if (want_gradient or want_full) else None
-    if pairs is not None:
-        pair_blocks = np.zeros((pairs[0].size, K, K))
-    if separable:
+    if pairs is not None or separable:
         # the basis rows of every stratum's event times, the only rows a pass reads
         Bg = basis.values[index.event_rows[index.event_starts[:-1]]]
+        # the basis pairs k <= l that are both non-zero at some event time;
+        # every other pair's B_k B_l is zero at every event time
+        ku = np.nonzero(np.triu((Bg != 0).T @ (Bg != 0)))
+    if pairs is not None:
+        # entries (k, l) of the covariate pairs' K x K blocks, over the basis pairs ku
+        pair_blocks = np.zeros((pairs[0].size, ku[0].size))
+    if separable:
         if (Bg < 0).any():
             raise InvalidSpecError("the separable full Hessian needs non-negative basis rows")
-        # the basis pairs k <= l that are both non-zero at some event time;
-        # every other pair's d_g B_g B_g' entry is zero at every event time
-        ku = np.nonzero(np.triu((Bg != 0).T @ (Bg != 0)))
         # each spread pair's weights d B_k B_l at every event time, and the
         # spread C over every row, both over all strata
         Wt = Bg[:, ku[0]] * Bg[:, ku[1]]
         Wt *= index.d[:, None]
         C = np.zeros((index.order.size, ku[0].size))
+    Bg = None
 
     for s in index.strata:
         Bg, U = _factors(s, basis.values, Theta)
@@ -506,10 +573,18 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         if G is not None:
             G += (s.SX - s.d[:, None] * Zbar[s.times]).T @ Bg
         if pairs is not None:
-            W = (means[:, P:] - Zbar[s.times, pairs[0]] * Zbar[s.times, pairs[1]]) * s.d[:, None]
-            pair_blocks += np.tensordot(W.T, Bg[:, :, None] * Bg[:, None, :], axes=1)
+            # each pair's weights d (mean of x_p x_q - zbar_p zbar_q), written
+            # over its moment means, and the basis products B_k B_l of ku
+            W, Z = means[:, P:], Zbar[s.times]
+            for c, (p, q) in enumerate(zip(*pairs)):
+                W[:, c] -= Z[:, p] * Z[:, q]
+            W *= s.d[:, None]
+            BB = np.empty((Bg.shape[0], ku[0].size))
+            for t, (k, l) in enumerate(zip(*ku)):
+                np.multiply(Bg[:, k], Bg[:, l], out=BB[:, t])
+            pair_blocks += W.T @ BB
         # released before the next stratum's pass allocates its own
-        Bg = U = lse = means = W = spread = None
+        Bg = U = lse = means = W = BB = spread = None
 
     if separable:
         # each spread pair's P x P block over all strata, made before Hf;
@@ -518,6 +593,12 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         for t in range(ku[0].size):
             spread_blocks[t] = _weighted_gram(Zbar, Wt[:, t]) - _weighted_gram(index.Xs, C[:, t])
         C = Wt = None
+    if pairs is not None:
+        # each covariate pair's K x K block, entry (k, l) and its mirror (l, k)
+        # from one sum, so that every block is exactly symmetric
+        upper, pair_blocks = pair_blocks, np.zeros((pairs[0].size, K, K))
+        pair_blocks[:, ku[0], ku[1]] = pair_blocks[:, ku[1], ku[0]] = upper
+        upper = None
     Hf = np.zeros((P * K, P * K)) if want_full else None
     H4 = Hf.reshape(P, K, P, K) if want_full else None  # block (p, q) is H4[p, :, q, :]
     if separable:
@@ -532,7 +613,7 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         gradient=G.reshape(-1) if G is not None else None,
         block_hessians=-pair_blocks[pairs[0] == pairs[1]] if want_blocks else None,
         full_hessian=Hf,
-        risk_set_means=None if Zbar is None else tuple(Zbar[s.times] for s in index.strata),
+        risk_set_means=Zbar,
     )
 
 
@@ -570,12 +651,12 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     _require_memory(_residual_bytes(index, P, K), "score residuals")
     if risk_set_means is None:
         risk_set_means = evaluate_report(dataset, index, basis, theta).risk_set_means
-    # each event's row of the means, stacked over the strata
+    # each event's row of the means, which hold every stratum's event times in index order
     group = np.repeat(np.arange(index.dt.size), np.diff(index.event_starts))
     by_time = np.argsort(dataset.time[index.event_rows], kind="stable")
     rows, group = index.event_rows[by_time], group[by_time]
     centered = dataset.covariates[rows]
-    centered -= np.concatenate(risk_set_means)[group]
+    centered -= risk_set_means[group]
     group = by_time = None  # released before the basis rows and V
     B = basis.values[rows]
     nz = B != 0

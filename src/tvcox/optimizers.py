@@ -138,10 +138,12 @@ class FitResult:
     ``score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)``;
     the result keeps these arrays alive until the field is cleared, as
     ``tvcox fit`` and ``bench`` clear it once the residuals are built.
-    ``risk_set_means`` are the per-stratum risk-set means of the pass that
-    the fit's log likelihood was read off, at the returned theta, so that
-    call makes no likelihood pass; a loglik-only pass computes none, and
-    then they are None and ``score_residuals`` makes one.  ``trace`` holds
+    ``risk_set_means`` is the m x P array of risk-set means, over every
+    stratum's event times, of the pass that the fit's log likelihood was
+    read off, at the returned theta (that pass's
+    ``LikelihoodReport.risk_set_means``), so that call makes no likelihood
+    pass; a loglik-only pass computes none, and then it is None and
+    ``score_residuals`` makes one.  ``trace`` holds
     one entry per update: (selected block or -1 when the optimizer has no
     block structure, stopping-criterion value, full-data log likelihood at
     the fitting loop's latest check).  For
@@ -163,7 +165,7 @@ class FitResult:
     config: MmsaConfig
     wall_time_sec: float = 0.0
     fitting_data: tuple | None = field(default=None, repr=False, compare=False)
-    risk_set_means: tuple | None = field(default=None, repr=False, compare=False)
+    risk_set_means: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_original(self) -> np.ndarray:
@@ -358,8 +360,29 @@ def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec
 
 
 def _best_block(report: lk.LikelihoodReport, ridge: float):
-    """``(p*, c_p*, direction)`` of the block with the largest score."""
-    quantities = [mmsa_block_quantities(report, p, ridge) for p in range(report.P)]
+    """``(p*, c_p*, direction)`` of the block with the largest score.
+
+    Every block is ridged and solved at once: one stacked copy of the
+    negated blocks, the ridge written onto their diagonals, one Cholesky
+    factorization of the stack as its positive-definiteness test and one
+    stacked solve.  Each block's score and direction are those of
+    ``mmsa_block_quantities``, bit for bit.  Where some block needs the
+    ridge escalated, the stack's factorization fails, and every block goes
+    through ``mmsa_block_quantities`` and its escalation instead.
+    """
+    P, K = report.P, report.K
+    G = report.gradient.reshape(P, K)
+    A = np.negative(report.block_hessians)
+    A[:, np.arange(K), np.arange(K)] += ridge
+    try:
+        np.linalg.cholesky(A)
+        D = np.linalg.solve(A, G[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        quantities = [mmsa_block_quantities(report, p, ridge) for p in range(P)]
+    else:
+        # a block with a zero gradient scores 0 with a zero direction, unsolved
+        quantities = [(max(float(g @ d), 0.0), d) if g.any() else (0.0, np.zeros(K))
+                      for g, d in zip(G, D)]
     p_star = int(np.argmax([c for c, _ in quantities]))  # first maximum = smallest index
     return p_star, *quantities[p_star]
 

@@ -536,9 +536,10 @@ def test_pruned_separable_hessian_matches_oracles(monkeypatch):
 
 
 def test_loglik_pass_holds_one_chunk_of_predictors():
-    # every chunk's predictors go into one buffer of 32 n entries; beside it
-    # the pass holds arrays of n x (K + 1) and m x K entries, well under
-    # three quarters of a chunk, where a second chunk would double it
+    # every row block's predictors go into one buffer of _CHUNK_ENTRIES
+    # entries; beside it the pass holds arrays of n x (K + 1) and m x K
+    # entries, under three quarters of the buffer, where a second buffer
+    # would double it
     n, P, K = 4000, 2, 5
     ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
     spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
@@ -547,7 +548,8 @@ def test_loglik_pass_holds_one_chunk_of_predictors():
     theta = np.random.default_rng(24).normal(0, 0.3, (P, K))
     (s,) = index.strata
     assert s.dt.size > 10 * likelihood_module._CHUNK_TIMES
-    chunk = 8 * likelihood_module._CHUNK_TIMES * n
+    assert n > likelihood_module._CHUNK_ENTRIES // likelihood_module._CHUNK_TIMES  # two blocks
+    chunk = 8 * likelihood_module._CHUNK_ENTRIES
     tracemalloc.start()
     try:
         tv.loglik(ds, index, basis, theta)
@@ -765,6 +767,18 @@ def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
 
 def _predictors_computed(s, M):
     """Event times and rows of every chunk the risk-set pass over s computes."""
+    times, blocks = _chunk_reads(s, M, s.Xs)
+    rows = [sum(r1 - r0 for r0, r1 in b) for b in blocks]  # the chunk's row blocks' reads
+    assert len(times) == len(rows) and sum(times) == s.dt.size
+    return times, rows
+
+
+def _chunk_reads(s, Bg, U):
+    """Each chunk's event times, and the row blocks ``(r0, r1)`` the pass over s reads for it.
+
+    A chunk reads its rows a block at a time from row 0 on, so a read from
+    row 0 starts the next chunk's reads.
+    """
     reads = {"Bg": [], "U": []}
 
     class Recorded(np.ndarray):
@@ -773,15 +787,16 @@ def _predictors_computed(s, M):
                 reads[self.name].append(key)
             return np.asarray(self)[key]
 
-    # Bg = M and U = Xs give the predictors M Xs'
-    Bg, U = M.view(Recorded), s.Xs.view(Recorded)
+    Bg, U = Bg.view(Recorded), U.view(Recorded)
     Bg.name, U.name = "Bg", "U"
     spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L)
     likelihood_module._risk_set_pass(spy, Bg, U)
-    times = [k.stop - k.start for k in reads["Bg"]]
-    rows = [k.stop for k in reads["U"]]
-    assert len(times) == len(rows) and sum(times) == s.dt.size
-    return times, rows
+    blocks = []
+    for k in reads["U"]:
+        if k.start == 0:
+            blocks.append([])
+        blocks[-1].append((k.start, k.stop))
+    return [k.stop - k.start for k in reads["Bg"]], blocks
 
 
 @pytest.mark.parametrize("n", [400, 800, 2000, 8000])
@@ -796,6 +811,149 @@ def test_chunks_compute_few_predictors_outside_the_risk_sets(n):
     assert max(times) <= 32
     computed = sum(t * r for t, r in zip(times, rows))
     assert computed <= 1.15 * s.L.sum()
+
+
+# A chunk reads its rows in row blocks of _CHUNK_ENTRIES // _CHUNK_TIMES.
+# Shrinking _CHUNK_ENTRIES to 4 _CHUNK_TIMES makes blocks of 4 rows, so the
+# one chunk of each stratum of the small instances below, of 13 or more
+# rows, splits into 3 or more blocks.
+ROW_BLOCK = 4
+
+
+def _split_rows(monkeypatch, width=None):
+    if width is not None:
+        monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
+    monkeypatch.setattr(likelihood_module, "_CHUNK_ENTRIES",
+                        ROW_BLOCK * likelihood_module._CHUNK_TIMES)
+
+
+def _blocks_per_chunk(index, basis, theta):
+    """The number of row blocks of every chunk of every stratum's pass."""
+    counts = []
+    for s in index.strata:
+        counts += [len(b) for b in _chunk_reads(s, *likelihood_module._factors(s, basis.values,
+                                                                              theta))[1]]
+    return counts
+
+
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])  # the product and the separable full Hessian
+def test_row_blocks_match_oracles(P, K, monkeypatch):
+    _split_rows(monkeypatch)
+    ds, spec, basis, index = make_instance(271, n=50, P=P, K=K, J=2)
+    theta = np.random.default_rng(35).normal(0, 0.3, (P, K))
+    assert min(_blocks_per_chunk(index, basis, theta)) >= 3
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    _assert_matches_brute_force(ds, index, basis, theta, rep)
+    for kind, kw in PASS_KINDS.items():
+        assert evaluate_report(ds, index, basis, theta, **kw).loglik == rep.loglik, kind
+
+
+@pytest.mark.parametrize("width", [32, 3])  # one chunk per stratum, and many
+@pytest.mark.parametrize("P,K", [(3, 4), (5, 3)])
+def test_row_blocks_equal_one_block(P, K, width, monkeypatch):
+    ds, spec, basis, index = make_instance(281, n=90, P=P, K=K, J=2)
+    theta = np.random.default_rng(36).normal(0, 0.3, (P, K))
+    assert max(_blocks_per_chunk(index, basis, theta)) == 1
+    single = _all_outputs(ds, index, basis, theta)
+    single_means = evaluate_report(ds, index, basis, theta).risk_set_means
+    _split_rows(monkeypatch, width)
+    assert max(_blocks_per_chunk(index, basis, theta)) >= 3
+    many = _all_outputs(ds, index, basis, theta)
+    many_means = evaluate_report(ds, index, basis, theta).risk_set_means
+    for want, got in zip(single + [single_means], many + [many_means]):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+# (P, K): the product full Hessian at P <= K and the separable one at P > K
+@pytest.mark.parametrize("P,K", [(3, 5), (6, 4)])
+def test_row_blocks_keep_one_loglik_across_pass_kinds(P, K, monkeypatch):
+    rng = np.random.default_rng(37)
+
+    def one_loglik(ds, basis, index):
+        theta = rng.normal(0, 0.3, (P, K))
+        assert max(_blocks_per_chunk(index, basis, theta)) >= 2
+        lls = {kind: evaluate_report(ds, index, basis, theta, **kw).loglik
+               for kind, kw in PASS_KINDS.items()}
+        assert len(set(lls.values())) == 1, lls
+        return lls["loglik"], theta
+
+    # one stratum of 3000 in blocks of 2048 rows
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=3000, P=P, seed=105))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    one_loglik(ds, basis, tv.build_risk_index(ds))
+    # one stratum of 60 in blocks of 4 rows, against the brute-force oracle
+    _split_rows(monkeypatch)
+    ds, _, basis, index = make_instance(291, n=60, P=P, K=K, J=1)
+    ll, theta = one_loglik(ds, basis, index)
+    assert ll == pytest.approx(brute_loglik(ds, basis.values, theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["overflow", "underflow", "near-ceiling"])
+@pytest.mark.parametrize("P", [2, 3])  # K = 2: the product and the separable full Hessian
+def test_sums_out_of_range_are_made_again_across_row_blocks(P, kind, monkeypatch):
+    ds, basis, index, theta = _out_of_range_instance(kind, P)
+    single = _all_outputs(ds, index, basis, theta)
+    _split_rows(monkeypatch)
+    (s,) = index.strata
+    # a chunk made again reads its blocks three times: for the unshifted
+    # sums, each event time's max over every block, and the shifted sums
+    times, blocks = _chunk_reads(s, *likelihood_module._factors(s, basis.values, theta))
+    assert len(blocks) > len(times) and min(len(b) for b in blocks) >= 3
+    lls = {name: evaluate_report(ds, index, basis, theta, **kw).loglik
+           for name, kw in PASS_KINDS.items()}
+    assert len(set(lls.values())) == 1, lls
+    assert lls["loglik"] == pytest.approx(brute_loglik(ds, basis.values, theta), rel=1e-12)
+    for want, got in zip(single, _all_outputs(ds, index, basis, theta)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# the blocks and full passes square the subject's covariates into their
+# moment arrays, which overflows before the pass reads them
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_overflow_in_a_later_row_block_names_the_subject(monkeypatch):
+    # P > K: the full pass is the separable form's, which keeps the blocks side by side
+    _split_rows(monkeypatch)
+    ds, spec, basis, _ = make_instance(141, n=30, P=4, K=3, J=1)
+    # the earliest event is the last row of the ordering, in the last block
+    # of the one chunk: every earlier block stays finite
+    events = np.flatnonzero(ds.status == 1)
+    row = int(events[np.argmin(ds.time[events])])
+    X = ds.covariates.copy()
+    X[row] = 1e308
+    big = tv.SurvivalDataset(ds.time, ds.status, ds.stratum, ds.stratum_labels,
+                             X, ds.covariate_names)
+    index = tv.build_risk_index(big)
+    (s,) = index.strata
+    assert s.order[-1] == row and s.dt.size <= likelihood_module._CHUNK_TIMES
+    assert s.order.size > 2 * ROW_BLOCK
+    for kw in PASS_KINDS.values():
+        with pytest.raises(NumericOverflowError, match=f"subject row {row}$"):
+            evaluate_report(big, index, basis, np.ones((4, 3)), **kw)
+
+
+def test_loglik_pass_memory_does_not_grow_with_the_chunk():
+    # one stratum of 16000: a chunk of 32 event times reads up to 16000 rows,
+    # 4 MiB of predictors in one piece, where its row blocks reuse one
+    # buffer of 512 KiB beside U, Bg and vectors of n and m entries
+    n, P, K = 16000, 2, 5
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis = tv.evaluate_batch(spec, ds.time)
+    index = tv.build_risk_index(ds)
+    theta = np.random.default_rng(38).normal(0, 0.3, (P, K))
+    (s,) = index.strata
+    m = s.dt.size
+    tracemalloc.start()
+    try:
+        tv.loglik(ds, index, basis, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * likelihood_module._CHUNK_ENTRIES
+    assert block <= peak < block + 8 * (n * (K + 1) + m * (K + 2 * P + 2))
+    assert peak < 8 * likelihood_module._CHUNK_TIMES * n / 2
 
 
 @pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])
@@ -923,7 +1081,7 @@ def test_zero_start_equals_the_chunk_loop(P, K, width, monkeypatch):
         outputs.append([np.array([r.loglik for r in reports])]
                        + [r.gradient for r in reports[1:]]
                        + [reports[2].block_hessians, reports[3].full_hessian, res.psi, res.V]
-                       + [Z for r in reports[1:] for Z in r.risk_set_means])
+                       + [r.risk_set_means for r in reports[1:]])
         assert len(loops) == (0 if not theta.any() else 5 * len(index.strata))
     for want, got in zip(*outputs):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -740,6 +740,93 @@ def test_ridge_on_the_diagonal_changes_no_direction(name, seed, config, monkeypa
     assert fit.trace == with_eye.trace
 
 
+def _per_block_best(rep, ridge, solve=None):
+    """``_best_block`` as it was: each block's score and direction on its own, by
+    ``mmsa_block_quantities``, or from ``solve`` when given."""
+    quantities = []
+    for p in range(rep.P):
+        g = rep.gradient_block(p)
+        if solve is None:
+            quantities.append(mmsa_block_quantities(rep, p, ridge))
+        elif not g.any():
+            quantities.append((0.0, np.zeros_like(g)))
+        else:
+            direction, _ = solve(-rep.block_hessians[p], g, ridge, f"Hessian block {p}")
+            quantities.append((max(float(g @ direction), 0.0), direction))
+    p_star = int(np.argmax([c for c, _ in quantities]))
+    return p_star, *quantities[p_star]
+
+
+def _assert_same_best(rep, ridge, solve=None):
+    got, want = optimizers._best_block(rep, ridge), _per_block_best(rep, ridge, solve)
+    assert got[0] == want[0] and got[1] == want[1], (got[:2], want[:2])
+    np.testing.assert_array_equal(got[2], want[2])
+    return got
+
+
+def _hand_report(blocks, gradient):
+    P, K = gradient.shape
+    return LikelihoodReport(theta=np.zeros((P, K)), loglik=0.0, gradient=gradient.reshape(-1),
+                            block_hessians=np.negative(blocks), full_hessian=None)
+
+
+@pytest.mark.parametrize("P,K,n", [(4, 5, 400), (40, 5, 2000)])
+@pytest.mark.parametrize("ridge", [1e-8, 0.0])
+def test_batched_block_step_equals_the_per_block_path(P, K, n, ridge):
+    ds = tv.generate(tv.ScenarioSpec(setting=1, n=n, P=P, seed=11))
+    spec = tv.make_spec(degree=3, K=K, event_times=ds.event_times)
+    basis, index = tv.evaluate_batch(spec, ds.time), tv.build_risk_index(ds)
+    rng = np.random.default_rng(39)
+    winners = set()
+    for scale in (0.0, 0.02, 0.05, 0.1, 0.2):
+        theta = rng.normal(0, scale, (P, K))
+        rep = evaluate_report(ds, index, basis, theta, want_blocks=True)
+        winners.add(_assert_same_best(rep, ridge)[0])
+        # the ridge_solve_with_eye directions: the ridge added as eps I
+        _assert_same_best(rep, ridge, ridged_solve_with_eye)
+    assert len(winners) > 1
+
+
+def test_batched_block_step_with_zero_gradient_blocks():
+    rng = np.random.default_rng(40)
+    M = rng.standard_normal((3, 4, 4))
+    blocks = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(4)
+    G = rng.standard_normal((3, 4))
+    best = _assert_same_best(_hand_report(blocks, G), 1e-8)[0]
+    G[best] = 0.0  # the best block scores 0 now, and another wins
+    p, c, direction = _assert_same_best(_hand_report(blocks, G), 1e-8)
+    assert p != best and c > 0
+    # a zero-gradient block is not factored: an indefinite one is skipped
+    blocks[best] = -np.eye(4)
+    _assert_same_best(_hand_report(blocks, G), 1e-8)
+    p, c, direction = _assert_same_best(_hand_report(blocks, np.zeros((3, 4))), 1e-8)
+    assert p == 0 and c == 0.0 and not direction.any()
+
+
+def test_batched_block_step_escalates_the_ridge_as_the_per_block_path():
+    # block 1's least eigenvalue is -5e-7: the ridges 1e-8 and 1e-7 fail and
+    # 1e-6 passes; the stack's factorization fails, so each block takes the
+    # per-block path's escalation
+    rng = np.random.default_rng(41)
+    M = rng.standard_normal((3, 5, 5))
+    blocks = M @ M.transpose(0, 2, 1)
+    blocks[1] -= (np.linalg.eigvalsh(blocks[1])[0] + 5e-7) * np.eye(5)
+    G = rng.standard_normal((3, 5))
+    G[1] *= 1e3  # block 1 has the largest score
+    rep = _hand_report(blocks, G)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(blocks + 1e-8 * np.eye(5))
+    p, c, direction = _assert_same_best(rep, 1e-8)
+    _assert_same_best(rep, 1e-8, ridged_solve_with_eye)
+    assert p == 1
+    want, eps = optimizers._ridged_solve(blocks[1].copy(), G[1], 1e-8, "block")
+    assert eps == pytest.approx(1e-6) and np.array_equal(direction, want)
+    # beyond the ridge ceiling, the block's error names it
+    blocks[2] = -np.eye(5)
+    with pytest.raises(ConditioningError, match="block 2"):
+        optimizers._best_block(_hand_report(blocks, G), 1e-8)
+
+
 def test_ridge_escalation_is_unchanged():
     A = np.array([[1.0, 0.0], [0.0, -1e-6]])
     rhs = np.array([1.0, 2.0])
