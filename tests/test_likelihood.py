@@ -890,6 +890,46 @@ def test_row_blocks_keep_one_loglik_across_pass_kinds(P, K, monkeypatch):
     assert ll == pytest.approx(brute_loglik(ds, basis.values, theta), rel=1e-12)
 
 
+def _staircase_instance(P, K, n=40, seed=301):
+    """One stratum of n events at n distinct times, none censored."""
+    rng = np.random.default_rng(seed)
+    ds = tv.SurvivalDataset(
+        time=rng.exponential(1.0, n), status=np.ones(n, dtype=np.int8),
+        stratum=np.zeros(n, dtype=np.int64), stratum_labels=("s",),
+        covariates=rng.standard_normal((n, P)),
+        covariate_names=tuple(f"x{p}" for p in range(P)))
+    spec = tv.make_spec(degree=min(2, K - 1), K=K, event_times=ds.event_times)
+    return ds, tv.evaluate_batch(spec, ds.time), tv.build_risk_index(ds)
+
+
+# Every subject an event at its own time: the risk sets hold 1, ..., n rows,
+# so each chunk's band is a full staircase, one row per event time.  In
+# blocks of 4 rows, the bands of chunks of 5 and 32 event times cross row
+# blocks; a chunk of 1 has no band.
+@pytest.mark.parametrize("width", [1, 5, 32])
+@pytest.mark.parametrize("P,K", [(2, 3), (4, 3)])  # the product and the separable full Hessian
+def test_staircase_bands_across_row_blocks_match_oracles(P, K, width, monkeypatch):
+    _split_rows(monkeypatch, width)
+    ds, basis, index = _staircase_instance(P, K)
+    (s,) = index.strata
+    assert np.array_equal(s.L, np.arange(1, ds.n + 1))
+    theta = np.random.default_rng(39).normal(0, 0.3, (P, K))
+    times, blocks = _chunk_reads(s, *likelihood_module._factors(s, basis.values, theta))
+    first = np.cumsum([0] + times[:-1])  # each chunk's first event time
+    crossing = [s.L[a] // ROW_BLOCK < (s.L[a + t - 1] - 1) // ROW_BLOCK
+                for a, t in zip(first, times)]
+    assert any(crossing) == (width > 1) and max(len(b) for b in blocks) >= 3
+    reps = {kind: evaluate_report(ds, index, basis, theta, **kw)
+            for kind, kw in PASS_KINDS.items()}
+    assert len({rep.loglik for rep in reps.values()}) == 1
+    _assert_matches_brute_force(ds, index, basis, theta, reps["gradient"])
+    rep = _assert_full_hessian_matches_fd(ds, index, basis, theta)
+    np.testing.assert_allclose(reps["blocks"].block_hessians, rep.block_hessians,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(reps["full"].full_hessian, rep.full_hessian,
+                               rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["overflow", "underflow", "near-ceiling"])
 @pytest.mark.parametrize("P", [2, 3])  # K = 2: the product and the separable full Hessian
 def test_sums_out_of_range_are_made_again_across_row_blocks(P, kind, monkeypatch):
