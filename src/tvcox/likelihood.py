@@ -17,47 +17,52 @@ Every evaluation returns the log likelihood, and every kind of pass
 computes it the same way: the risk-set sums S are their own product
 ``1' E`` of a vector of ones with the risk weights, and the weighted
 moments a separate product ``A' E`` over one moment array ``A``, which
-holds the requested columns only, written side by side once per stratum:
-the covariates, and the products of the covariate pairs whose Hessian
-blocks the pass builds (see below).  A
-loglik-only pass and a full-Hessian pass at the same theta therefore
-report the same value, bit for bit, which the ascent guard, the Armijo
-test and the stopping rules rely on when they compare values from
-different passes.
+holds the requested columns only, written side by side for one stratum
+at a time by its pass: the covariates, and the products of the covariate
+pairs whose Hessian blocks the pass builds (see below).  A loglik-only
+pass and a full-Hessian pass at the same theta therefore report the same
+value, bit for bit, which the ascent guard, the Armijo test and the
+stopping rules rely on when they compare values from different passes.
 
 Each stratum is evaluated in one pass over its distinct event times, in
-fixed-width chunks of columns.  Because the prefix lengths ``L`` ascend, a
-chunk of event times ``[a, b)`` reads only the first ``L[b-1]`` rows of the
-ordering, and only the band of rows ``[L[a], L[b-1])`` lies outside some of
-its risk sets; those entries are set to ``-inf`` before exponentiation.
-A chunk spans at most 32 event times, whatever the stratum size, and reads
-its rows in row blocks of at most 2048 (``_CHUNK_ENTRIES // _CHUNK_TIMES``),
-so a block holds at most 2^16 linear predictors.  S and the moments are
-sums over the blocks, and every block of a pass is written into the same
-buffer, so a pass without a spread holds 512 KiB of predictors whatever
-the stratum size, and no n_j x m array is ever formed.  Every pass kind
-takes the same blocks, so the log likelihood does not depend on the kind.
-A pass that spreads needs a chunk's S before it spreads the chunk, so it
-keeps the chunk's blocks one after another, at most 32 n_j predictors.  A
-wider chunk would not pay on a small stratum: its band grows with the
-width, and every entry of the band is exponentiated only for the mask to
-discard it.  The predictors are formed on the K side: with ``U = Xs
-Theta`` (n_j x K), made once per stratum, a block is a (rows x event
-times) array ``U_blk B_a'``, whose inner dimension is K, not P, and its
-S and moments are ``1' E_blk`` and ``A_blk' E_blk``.  OpenBLAS runs the
-predictor and moment products faster in this shape than in the (event
-times x rows) block ``B_a U_blk'`` (see ``_chunk_loop``).
+fixed-width chunks of columns.  The pass writes the stratum's log
+denominators and risk-set means straight into its rows of one array of
+each over all m event times of all strata; the log likelihood, the
+gradient and the pair weights below are then made once over those
+arrays and the index's flat arrays.  Because the prefix lengths ``L``
+ascend, a chunk of event times ``[a, b)`` reads only the first
+``L[b-1]`` rows of the ordering, and only the band of rows
+``[L[a], L[b-1])`` lies outside some of its risk sets; those entries are
+set to ``-inf`` before exponentiation.  A chunk spans at most 32 event
+times, whatever the stratum size, and reads its rows in row blocks of at
+most 2048 (``_CHUNK_ENTRIES // _CHUNK_TIMES``), so a block holds at most
+2^16 linear predictors.  S and the moments are sums over the blocks, and
+every block of a pass is written into the same buffer, so a pass without
+a spread holds 512 KiB of predictors whatever the stratum size, and no
+n_j x m array is ever formed.  Every pass kind takes the same blocks, so
+the log likelihood does not depend on the kind.  A pass that spreads
+needs a chunk's S before it spreads the chunk, so it keeps the chunk's
+blocks one after another, at most 32 n_j predictors.  A wider chunk
+would not pay on a small stratum: its band grows with the width, and
+every entry of the band is exponentiated only for the mask to discard
+it.  The predictors are formed on the K side: with ``U = Xs Theta``
+(n_j x K), made by the stratum's pass and released with it, a block is a
+(rows x event times) array ``U_blk B_a'``, whose inner dimension is K,
+not P, and its S and moments are ``1' E_blk`` and ``A_blk' E_blk``.
+OpenBLAS runs the predictor and moment products faster in this shape
+than in the (event times x rows) block ``B_a U_blk'`` (see
+``_chunk_loop``).
 Each chunk is exponentiated unshifted, so no row max or subtraction runs
 where its risk-set sums S all lie in [1e-250, 1e250].  A chunk whose S
 leave that range, which takes a predictor above about 575 or a risk set
 whose predictors all lie below about -575, is made again with each risk
 set's exact max over all of the chunk's blocks as its shift.
-Where U is all zero, as at every fit's start Theta = 0, each risk weight is
-exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and the
-pass makes no GEMM and no exponential.  Every pass that computes first
-moments writes every stratum's risk-set means into one m x P array over
-all event times and keeps that array on its report, from which
-``score_residuals`` builds the residuals without a pass of its own.
+Where Theta is all zero, as at every fit's start, each risk weight is
+exactly 1: S_g is the risk-set size L_g, the means are prefix sums, and
+the pass makes no GEMM and no exponential.  Every pass that computes
+first moments keeps the m x P risk-set means of the covariates over all
+event times on its report, from which ``score_residuals`` builds the
+residuals without a pass of its own.
 Flat coefficient vectors follow the row-major convention theta =
 vec(Theta): block p occupies theta[p*K:(p+1)*K].
 
@@ -72,9 +77,10 @@ covariate pairs as extra moment columns, the P(P+1)/2 pairs p <= q for
 the product form or the P diagonal pairs when only the blocks are wanted,
 and each pair (p, q) gets its K x K block.  Its weights
 ``d (mean of x_p x_q - zbar_p zbar_q)`` are written over the pair's
-moment means, and its block is made over the basis pairs k <= l that are
-both non-zero at some event time, entry (k, l) mirrored to (l, k), so
-that each block is exactly symmetric.  The full Hessian takes one of
+moment means, and its block is one product over the event times of all
+strata, made over the basis pairs k <= l that are both non-zero at some
+event time, entry (k, l) mirrored to (l, k), so that each block is
+exactly symmetric.  The full Hessian takes one of
 two forms: the product form, from the pairs p <= q, or the separable form,
 which uses
 
@@ -222,52 +228,49 @@ class ScoreResiduals:
         return (D[:, :, None] * B[:, None, :]).reshape(D.shape[0], -1)
 
 
-def _factors(s, basis_values, Theta):
-    """A stratum's factors of its linear predictors.
+def _moments(Xs, width, pairs):
+    """A stratum's moment array of ``width`` columns, None for no columns.
 
-    Returns ``Bg`` (m x K), the basis rows of the m distinct event times,
-    and ``U = Xs Theta`` (n x K), so the linear predictors are ``U Bg'``
-    (subjects x event times), with inner dimension K.  A non-finite U is
-    left for the pass to report by subject.
+    Its covariates ``Xs``, and beside them the products of the covariate
+    ``pairs`` (two index arrays), made a product at a time so that no rows
+    x pairs temporary is made.
     """
-    # tied events share a time, hence identical basis rows; take the first
-    Bg = basis_values[s.event_rows[s.event_starts[:-1]]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Bg, s.Xs @ Theta
+    P = Xs.shape[1]
+    if width <= P:
+        return Xs if width else None
+    A = np.empty((Xs.shape[0], width))
+    A[:, :P] = Xs
+    for c, (p, q) in enumerate(zip(*pairs)):
+        np.multiply(Xs[:, p], Xs[:, q], out=A[:, P + c])
+    return A
 
 
-def _risk_set_pass(s, Bg, U, A=None, spread=None):
-    """Risk-set log denominators and weighted means for one stratum.
+def _chunk_loop(s, Bg, Theta, lse, means, pairs=None, spread=None):
+    """Risk-set log denominators and weighted means for one stratum, written in place.
 
-    ``Bg`` (m x K) and ``U`` (n x K) are the factors from ``_factors``:
-    ``U Bg'`` are the linear predictors, one row per subject and one column
-    per event time.  ``A``, if given, is the moment array, with one row per
-    subject in ``s.order``.  Returns ``log S_g + shift_g`` for every event
-    time g, where S_g sums the shifted exponentials over the risk set
-    ``order[:L[g]]`` and shift_g is 0, or the largest predictor in the risk
-    set for a chunk whose unshifted sums leave ``[_S_FLOOR, 1 / _S_FLOOR]``;
-    and the (m x A.shape[1]) risk-weighted means ``(A'E / S)'`` (m x 0
-    without A).
+    ``Bg`` (m x K) holds the basis rows of the stratum's m distinct event
+    times, and ``U = Xs Theta`` (n x K) is made here, so ``U Bg'`` are the
+    linear predictors, one row per subject and one column per event time; a
+    non-finite U is reported by subject.  The moment array ``A``, one row per
+    subject in ``s.order``, has as many columns as ``means``: none, the
+    covariates, or the covariates and the products of the covariate
+    ``pairs`` (see ``_moments``); it and U are held for this stratum only.
+    Writes ``log S_g + shift_g`` for every event time g into ``lse`` (m),
+    where S_g sums the shifted exponentials over the risk set ``order[:L[g]]``
+    and shift_g is 0, or the largest predictor in the risk set for a chunk
+    whose unshifted sums leave ``[_S_FLOOR, 1 / _S_FLOOR]``; and the risk-
+    weighted means ``(A'E / S)'`` into ``means`` (m x columns).  Both are
+    the stratum's rows of the pass's arrays over all event times.
     S is always its own product ``ones @ E``, whatever ``A`` holds, so the
     log denominators do not depend on the moments requested; the moments
     come from one ``A' @ E``, and without A from no product.
     ``spread``, if given, is a pair ``(W, C)`` of arrays with one row per
     event time and one row per subject: each row of W is spread over its
-    risk set by the risk weights, ``C += E (W / S)``.  Without ``spread``
-    every row block of every chunk is written into one buffer of at most
-    ``_CHUNK_ENTRIES`` predictors; with it, the pass holds one chunk's
-    blocks one after another, at most ``_CHUNK_TIMES`` n predictors.
-    Where ``U`` is all zero, ``_uniform_pass`` gives the same outputs in
+    risk set by the risk weights, ``C += E (W / S)``.
+    Where Theta is all zero, ``_uniform_pass`` gives the same outputs in
     closed form.
-    """
-    if not U.any():
-        return _uniform_pass(s, A, spread)
-    return _chunk_loop(s, Bg, U, A, spread)
 
-
-def _chunk_loop(s, Bg, U, A, spread):
-    """``_risk_set_pass``'s outputs, a chunk of at most ``_CHUNK_TIMES`` event times at a time.
-
+    The event times are taken a chunk of at most ``_CHUNK_TIMES`` at a time.
     A chunk of event times ``[a, b)`` reads the rows ``[0, L[b-1])``, taken
     in row blocks of ``_CHUNK_ENTRIES // _CHUNK_TIMES`` rows, so a block
     holds at most ``_CHUNK_ENTRIES`` predictors.  A block is a (rows x
@@ -280,11 +283,13 @@ def _chunk_loop(s, Bg, U, A, spread):
     by S and written into the chunk's rows of the means transposed.  Every
     pass kind takes the same blocks and makes S with the same call, so S,
     and the log likelihood, do not depend on the pass kind.  A pass without
-    ``spread`` writes every block into one buffer.  A spreading pass needs
-    S before it spreads, so it writes a chunk's blocks one after another
-    into a buffer of the stratum's rows times the chunk's width, and
-    spreads them a block at a time once S is known; one product over all of
-    the chunk's rows would add a temporary of rows x spread pairs.
+    ``spread`` writes every block into one buffer of at most
+    ``_CHUNK_ENTRIES`` predictors.  A spreading pass needs S before it
+    spreads, so it writes a chunk's blocks one after another into a buffer
+    of the stratum's rows times the chunk's width, at most ``_CHUNK_TIMES``
+    n predictors, and spreads them a block at a time once S is known; one
+    product over all of the chunk's rows would add a temporary of rows x
+    spread pairs.
 
     The blocks are (rows x times), not (times x rows), because OpenBLAS
     runs the pass's products faster in this shape.  Median us per 2048 x 32
@@ -297,8 +302,7 @@ def _chunk_loop(s, Bg, U, A, spread):
     n, m = s.order.size, s.dt.size
     step = max(1, _CHUNK_ENTRIES // _CHUNK_TIMES)  # rows per block
     ones = np.ones(min(step, n))
-    lse = np.empty(m)
-    means = np.empty((m, 0 if A is None else A.shape[1]))
+    A = _moments(s.Xs, means.shape[1], pairs)
     buf = np.empty(min(_CHUNK_TIMES, m) * (n if spread is not None else min(step, n)))
     # row n - k of the stairs (3n bytes, a view) is k entries False, then
     # True: transposed, the mask of a block's band for an event time whose
@@ -308,6 +312,7 @@ def _chunk_loop(s, Bg, U, A, spread):
     steps[n:] = True
     stairs = np.ndarray((2 * n + 1, n), bool, steps, strides=(1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        U = s.Xs @ Theta
         for a in range(0, m, _CHUNK_TIMES):
             b = min(a + _CHUNK_TIMES, m)
             w, BaT, La = b - a, np.ascontiguousarray(Bg[a:b].T), s.L[a:b]
@@ -370,31 +375,29 @@ def _chunk_loop(s, Bg, U, A, spread):
                 V = W[a:b].T / S  # T x times, used transposed
                 for r0, r1 in blocks:
                     C[r0:r1] += buf[w * r0:w * r1].reshape(r1 - r0, w) @ V.T
-    return lse, means
 
 
-def _uniform_pass(s, A, spread):
-    """``_risk_set_pass``'s outputs where every linear predictor is zero.
+def _uniform_pass(s, Bg, Theta, lse, means, pairs=None, spread=None):
+    """``_chunk_loop``'s outputs where Theta, and so every linear predictor, is zero.
 
-    Each risk weight is exactly 1, so S_g = L_g, the means are prefix sums
-    over each event time's new rows ``[L[g-1], L[g])``, and row i of the
-    spread is the sum of ``W_g / L_g`` over the event times whose risk sets
-    hold it, a reverse cumulative sum.
+    It takes ``_chunk_loop``'s arguments and reads neither ``Bg`` nor
+    ``Theta``.  Each risk weight is exactly 1, so S_g = L_g, the means are
+    prefix sums over each event time's new rows ``[L[g-1], L[g])``, and row
+    i of the spread is the sum of ``W_g / L_g`` over the event times whose
+    risk sets hold it, a reverse cumulative sum.
     """
     L = s.L
     new = np.r_[0, L[:-1]]  # first row of each event time's new rows
-    lse = np.log(L)
-    if A is None:
-        means = np.empty((L.size, 0))
-    else:
-        means = np.add.reduceat(A[:L[-1]], new, axis=0)
+    np.log(L, out=lse)
+    A = _moments(s.Xs, means.shape[1], pairs)
+    if A is not None:
+        np.add.reduceat(A[:L[-1]], new, axis=0, out=means)
         np.cumsum(means, axis=0, out=means)
         means /= L[:, None]
     if spread is not None:
         W, C = spread
         R = np.cumsum((W / L[:, None])[::-1], axis=0)[::-1]
         C[:L[-1]] += np.repeat(R, L - new, axis=0)
-    return lse, means
 
 
 def _weighted_gram(M, w):
@@ -441,35 +444,40 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     ``form`` is ``"blocks"`` (the gradient and the P diagonal Hessian
     blocks), or the full Hessian's ``"product"`` or ``"separable"`` form,
     counted together with a Newton iteration's solve of it.  Held
-    throughout: the gradient and the risk-set means of every stratum (m x P
-    over all strata).  A stratum's pass is counted at the largest stratum:
-    the vector of ones, U (n x K), Bg (m x K), the one buffer of linear
-    predictors that every row block reuses and its band mask at a byte an
-    entry (at most ``_CHUNK_ENTRIES`` entries each; the separable form's
-    spreading pass keeps a chunk's blocks one after another, so at most
-    ``_CHUNK_TIMES`` n), and for each form its own arrays (see the comments
-    below).  Each stratum's arrays are released before the next stratum's
-    pass, so they are counted once.  A full pass hands Hf to the solve, which ridges it in
-    place; the Cholesky factor and LAPACK's copy of Hf in the solve are two
-    more arrays of its size.  The separable form is counted with all
-    K(K+1)/2 basis pairs; it spreads only the pairs that overlap at some
-    event time, so its count is an upper bound.
+    throughout, over all m event times of all strata: their basis rows Bg
+    (m x K), their log denominators (m) and their moment means (m x
+    columns: the covariates and the covariate pairs' products), into which
+    every stratum's pass writes its rows; then the gradient and the m x P
+    risk-set means that the report keeps.  Beside them, the larger of two
+    stages that follow one another.  First a stratum's pass, counted at the
+    largest stratum: the vector of ones, U (n x K), the moment array (n x
+    columns), the one buffer of linear predictors that every row block
+    reuses and its band mask at a byte an entry (at most ``_CHUNK_ENTRIES``
+    entries each; the separable form's spreading pass keeps a chunk's blocks
+    one after another, so at most ``_CHUNK_TIMES`` n); each stratum's arrays
+    are released before the next stratum's pass, so they are counted once.
+    Then the sums over every event time, whose largest temporary is
+    counted as m x (P + K^2): an m x P product, or the basis products
+    B_k B_l of the basis pairs k <= l beside a column.  A full pass hands
+    Hf to the solve, which ridges it in place; the Cholesky factor and
+    LAPACK's copy of Hf in the solve are two more arrays of its size.  The
+    separable form is counted with all K(K+1)/2 basis pairs; it spreads
+    only the pairs that overlap at some event time, so its count is an
+    upper bound.  A fixed 8 KiB counts what is not an array of these sizes.
     """
     # the largest stratum's rows and event times
     n, m = (int((a[1:] - a[:-1]).max()) for a in (index.row_starts, index.time_starts))
     rows, times = index.order.size, index.dt.size  # over all strata
     step = n if form == "separable" else min(n, max(1, _CHUNK_ENTRIES // _CHUNK_TIMES))
     chunk = min(_CHUNK_TIMES, m) * step
-    # the moment array [Xs, pair products] and its risk-set means, over
-    # which the pairs' weights are written; then the basis products B_k B_l
-    # of the basis pairs k <= l (m x T), and the pair blocks over those
-    # pairs and as K x K blocks, counted with room to spare as m x (2 pairs
-    # + K^2) and 3 pairs x K^2 entries.  A separable pass builds the P
-    # diagonal pairs' blocks when asked for them too, so they are counted
-    # for it as for a blocks pass
+    # the moment array's columns beyond the covariates: its covariate pairs.
+    # A separable pass builds the P diagonal pairs' blocks when asked for
+    # them too, so they are counted for it as for a blocks pass
     pairs = P * (P + 1) // 2 if form == "product" else P
-    entries = n * (1 + K) + m * K + chunk
-    entries += n * (P + pairs) + m * (P + 3 * pairs + K * K) + 3 * pairs * K * K
+    # the pair blocks over the basis pairs and as K x K blocks, counted with
+    # room to spare as 3 pairs x K^2 entries
+    entries = (times * (K + 1 + P + pairs) + 3 * pairs * K * K
+               + max(n * (1 + K + P + pairs) + chunk, times * (P + K * K)))
     if form == "product":
         entries += 3 * (P * K) ** 2  # Hf beside its solve
     elif form == "separable":
@@ -480,14 +488,17 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
         gram = rows + min(rows, max(P, _CHUNK_ENTRIES // P)) * (P + 2) + 3 * P * P
         # the largest of four stages that follow one another: the event
         # times' basis rows and two of their pair products beside the spread
-        # weights; a stratum's pass beside C over every row, the weights and
-        # one C-sized addition to C; the T P x P pair blocks beside C, the
-        # weights, a Gram and any diagonal pair blocks; Hf beside the solve's
-        # factor and LAPACK's copy of it, which outweighs the blocks beside Hf
+        # weights; the strata's passes and the sums after them beside C
+        # over every row, the weights and one C-sized addition to C; the T
+        # P x P pair blocks beside C, the weights, a Gram and any diagonal
+        # pair blocks; Hf beside the solve's factor and LAPACK's copy of it,
+        # which outweighs the blocks beside Hf
         spread = (rows + times) * T
         entries = max(times * (K + 3 * T), entries + spread + n * T,
                       spread + T * P * P + gram + pairs * K * K, 3 * (P * K) ** 2)
-    return 8 * (entries + P * times + P * K) + chunk
+    # and 8 KiB for the pass's Python objects and small temporaries, about
+    # 6 KiB beyond its arrays on a stratum of 120
+    return 8 * (entries + P * times + P * K) + chunk + 8192
 
 
 def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
@@ -551,18 +562,12 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     # covariate pairs (p, q) whose K x K blocks the pass builds
     pairs = (np.triu_indices(P) if want_full and not separable
              else (np.arange(P),) * 2 if want_blocks else None)
-    ll = 0.0
-    Zbar = None  # every stratum's risk-set means, made once the first stratum's pass returns
-    G = np.zeros((P, K)) if (want_gradient or want_full) else None
+    # the basis rows of every stratum's event times, the only rows a pass reads
+    Bg = basis.values[index.event_rows[index.event_starts[:-1]]]
     if pairs is not None or separable:
-        # the basis rows of every stratum's event times, the only rows a pass reads
-        Bg = basis.values[index.event_rows[index.event_starts[:-1]]]
         # the basis pairs k <= l that are both non-zero at some event time;
         # every other pair's B_k B_l is zero at every event time
         ku = np.nonzero(np.triu((Bg != 0).T @ (Bg != 0)))
-    if pairs is not None:
-        # entries (k, l) of the covariate pairs' K x K blocks, over the basis pairs ku
-        pair_blocks = np.zeros((pairs[0].size, ku[0].size))
     if separable:
         if (Bg < 0).any():
             raise InvalidSpecError("the separable full Hessian needs non-negative basis rows")
@@ -571,41 +576,45 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
         Wt = Bg[:, ku[0]] * Bg[:, ku[1]]
         Wt *= index.d[:, None]
         C = np.zeros((index.order.size, ku[0].size))
-    Bg = None
 
+    # every event time's log denominator and moment means, each stratum's
+    # rows written in place by its pass: the covariates' means, and beside
+    # them the pairs' products' means
+    m = index.dt.size
+    lse = np.empty(m)
+    means = np.empty((m, 0 if not (want_gradient or want_full or want_blocks)
+                      else P if pairs is None else P + pairs[0].size))
+    stratum_pass = _chunk_loop if Theta.any() else _uniform_pass
     for s in index.strata:
-        Bg, U = _factors(s, basis.values, Theta)
-        A = None if G is None else s.Xs
-        if pairs is not None:
-            # the covariates and their pair products side by side, one moment
-            # array; a product at a time, so no n x pairs temporary is made
-            A = np.empty((s.order.size, P + pairs[0].size))
-            A[:, :P] = s.Xs
-            for c, (p, q) in enumerate(zip(*pairs)):
-                np.multiply(s.Xs[:, p], s.Xs[:, q], out=A[:, P + c])
-        spread = (Wt[s.times], C[s.rows]) if separable else None
-        lse, means = _risk_set_pass(s, Bg, U, A, spread)
-        A = None  # released before the means are read
-        ll += float((s.SX * (Bg @ Theta.T)).sum() - (s.d * lse).sum())
-        if means.shape[1]:  # the pass computed first moments
-            if Zbar is None:  # a gradient pass over one stratum returns them all
-                Zbar = means if means.shape == (index.dt.size, P) else np.empty((index.dt.size, P))
-            Zbar[s.times] = means[:, :P]  # nothing to copy where Zbar is the means
-        if G is not None:
-            G += (s.SX - s.d[:, None] * Zbar[s.times]).T @ Bg
-        if pairs is not None:
-            # each pair's weights d (mean of x_p x_q - zbar_p zbar_q), written
-            # over its moment means, and the basis products B_k B_l of ku
-            W, Z = means[:, P:], Zbar[s.times]
-            for c, (p, q) in enumerate(zip(*pairs)):
-                W[:, c] -= Z[:, p] * Z[:, q]
-            W *= s.d[:, None]
-            BB = np.empty((Bg.shape[0], ku[0].size))
-            for t, (k, l) in enumerate(zip(*ku)):
-                np.multiply(Bg[:, k], Bg[:, l], out=BB[:, t])
-            pair_blocks += W.T @ BB
-        # released before the next stratum's pass allocates its own
-        Bg = U = lse = means = W = BB = spread = None
+        stratum_pass(s, Bg[s.times], Theta, lse[s.times], means[s.times], pairs,
+                     (Wt[s.times], C[s.rows]) if separable else None)
+
+    # the rest once over every event time, an m x P temporary at a time,
+    # each written in place
+    eta = Bg @ Theta.T
+    ll = float(np.multiply(eta, index.SX, out=eta).sum() - (index.d * lse).sum())
+    Zbar = means[:, :P] if means.shape[1] else None
+    G = eta = lse = None
+    if want_gradient or want_full:
+        R = index.d[:, None] * Zbar
+        G = np.subtract(index.SX, R, out=R).T @ Bg
+        R = None
+    if pairs is not None:
+        # each pair's weights d (mean of x_p x_q - zbar_p zbar_q), written
+        # over its moment means, and the basis products B_k B_l of ku; then
+        # entries (k, l) of the covariate pairs' K x K blocks
+        W = means[:, P:]
+        for c, (p, q) in enumerate(zip(*pairs)):
+            W[:, c] -= Zbar[:, p] * Zbar[:, q]
+        W *= index.d[:, None]
+        BB = np.empty((m, ku[0].size))
+        for t, (k, l) in enumerate(zip(*ku)):
+            np.multiply(Bg[:, k], Bg[:, l], out=BB[:, t])
+        pair_blocks = W.T @ BB
+        W = BB = None
+        # the means alone outlive the pass, not the pairs' weights beside them
+        Zbar = Zbar.copy()
+    means = Bg = None
 
     if separable:
         # each spread pair's P x P block over all strata, made before Hf;

@@ -179,12 +179,12 @@ class TestResidualsFromTheFitsLastPass:
         ds = tvcox.generate(tvcox.ScenarioSpec(setting=1, n=300, P=3, J=2, seed=5))
         spec = tvcox.make_spec(degree=3, K=4, event_times=ds.event_times)
         passes = []
-        real_pass = tvcox.likelihood._risk_set_pass
-
-        def counted(*args):
-            passes.append(args[0])
-            return real_pass(*args)
-        monkeypatch.setattr(tvcox.likelihood, "_risk_set_pass", counted)
+        # each stratum's pass, in either of its forms
+        for name in ("_chunk_loop", "_uniform_pass"):
+            def counted(*args, real_pass=getattr(tvcox.likelihood, name)):
+                passes.append(args[0])
+                return real_pass(*args)
+            monkeypatch.setattr(tvcox.likelihood, name, counted)
         fit_fn, after_fit = cli.inference.fit_by_name(cfg["optimizer"]), []
 
         def fit_then_mark(*args):

@@ -281,6 +281,11 @@ def _chunk_count(s, width):
     return -(-s.dt.size // width)
 
 
+def _event_basis_rows(s, basis):
+    """The basis rows of the stratum's distinct event times."""
+    return basis.values[s.event_rows[s.event_starts[:-1]]]
+
+
 def _all_outputs(ds, index, basis, theta):
     rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
     res = tv.score_residuals(ds, index, basis, theta)
@@ -301,22 +306,46 @@ def _assert_matches_brute_force(ds, index, basis, theta, rep):
         np.testing.assert_allclose(got[int(r)], psi[i], atol=1e-10)
 
 
+def _multi_chunk_instances(width):
+    """The inputs of the multi-chunk oracle test, at chunks of ``width`` event times.
+
+    Two strata of about 20, each in three or more chunks; and the product
+    form (P <= K) on the 20 unequal strata of ``_many_strata_instance``,
+    among them one-subject and eventless strata, whose passes write their
+    rows of the arrays over all event times at 16 offsets.
+    """
+    ds, spec, basis, index = make_instance(111, n=40, P=2, K=3)
+    assert min(_chunk_count(s, width) for s in index.strata) >= 3
+    yield ds, basis, index
+    ds, _, basis = _many_strata_instance(261, P=3, K=4)
+    index = tv.build_risk_index(ds)
+    assert len(index.strata) >= 16 and max(_chunk_count(s, width) for s in index.strata) >= 3
+    yield ds, basis, index
+
+
 @pytest.mark.parametrize("width", MULTI_CHUNK)
 def test_multi_chunk_pass_matches_oracles(width, monkeypatch):
     monkeypatch.setattr(likelihood_module, "_CHUNK_TIMES", width)
-    ds, spec, basis, index = make_instance(111, n=40, P=2, K=3)
-    assert min(_chunk_count(s, width) for s in index.strata) >= 3
-    theta = np.random.default_rng(12).normal(0, 0.3, (ds.P, spec.K))
-    rep = evaluate_report(ds, index, basis, theta, want_blocks=True, want_full=True)
-
-    _assert_matches_brute_force(ds, index, basis, theta, rep)
-    H = fd_hessian(lambda v: evaluate_report(ds, index, basis, v).gradient, theta)
-    np.testing.assert_allclose(rep.full_hessian, H, rtol=1e-6, atol=1e-6)
-    K = spec.K
-    for p in range(ds.P):
-        np.testing.assert_allclose(rep.block_hessians[p],
-                                   H[p * K:(p + 1) * K, p * K:(p + 1) * K],
-                                   rtol=1e-6, atol=1e-6)
+    for ds, basis, index in _multi_chunk_instances(width):
+        P, K = ds.P, basis.values.shape[1]
+        assert P <= K  # the product form
+        # Theta = 0 takes the closed form, a random theta the chunk loop
+        for theta in (np.zeros((P, K)), np.random.default_rng(12).normal(0, 0.3, (P, K))):
+            reps = {kind: evaluate_report(ds, index, basis, theta, want_blocks=True, **kw)
+                    if kind == "full" else evaluate_report(ds, index, basis, theta, **kw)
+                    for kind, kw in PASS_KINDS.items()}
+            assert len({r.loglik for r in reps.values()}) == 1
+            rep = reps["full"]
+            _assert_matches_brute_force(ds, index, basis, theta, rep)
+            for kind in ("gradient", "blocks"):
+                np.testing.assert_allclose(reps[kind].risk_set_means, rep.risk_set_means,
+                                           rtol=1e-12, atol=1e-12)
+            H = fd_hessian(lambda v: evaluate_report(ds, index, basis, v).gradient, theta)
+            np.testing.assert_allclose(rep.full_hessian, H, rtol=1e-6, atol=1e-6)
+            for blocks in (rep.block_hessians, reps["blocks"].block_hessians):
+                for p in range(P):
+                    np.testing.assert_allclose(blocks[p], H[p * K:(p + 1) * K, p * K:(p + 1) * K],
+                                               rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("width", MULTI_CHUNK)
@@ -341,9 +370,9 @@ def test_multi_chunk_tied_events_share_one_denominator(width, monkeypatch):
     assert any(s.d.max() > 1 for s in index.strata)  # the instance has ties
     theta = np.random.default_rng(14).normal(0, 0.4, (ds.P, spec.K))
     for s in index.strata:
-        Bg = basis.values[s.event_rows[s.event_starts[:-1]]]
-        lse, _ = likelihood_module._risk_set_pass(
-            s, *likelihood_module._factors(s, basis.values, theta))
+        Bg = _event_basis_rows(s, basis)
+        lse = np.full(s.dt.size, np.nan)
+        likelihood_module._chunk_loop(s, Bg, theta, lse, np.empty((s.dt.size, 0)))
         assert lse.shape == (s.dt.size,)
         stratum = ds.stratum[s.order[0]]
         for g, t in enumerate(s.dt):
@@ -495,15 +524,14 @@ def test_separable_and_product_forms_agree(monkeypatch):
 
 
 def _record_spread_pairs(monkeypatch):
-    """The number of basis pairs each separable risk-set pass spreads."""
+    """The number of basis pairs each separable stratum's pass spreads, in either of its forms."""
     widths = []
-    real = likelihood_module._risk_set_pass
-
-    def recorded(s, Bg, U, mats=(), spread=None):
-        if spread is not None:
-            widths.append(spread[0].shape[1])
-        return real(s, Bg, U, mats, spread)
-    monkeypatch.setattr(likelihood_module, "_risk_set_pass", recorded)
+    for name in ("_chunk_loop", "_uniform_pass"):
+        def recorded(s, Bg, Theta, lse, means, pairs, spread, real=getattr(likelihood_module, name)):
+            if spread is not None:
+                widths.append(spread[0].shape[1])
+            return real(s, Bg, Theta, lse, means, pairs, spread)
+        monkeypatch.setattr(likelihood_module, name, recorded)
     return widths
 
 
@@ -767,17 +795,18 @@ def test_chunk_width_floor_matches_oracles(P, K, monkeypatch):
 
 def _predictors_computed(s, M):
     """Event times and rows of every chunk the risk-set pass over s computes."""
-    times, blocks = _chunk_reads(s, M, s.Xs)
+    times, blocks = _chunk_reads(s, M, np.eye(M.shape[1]))  # U = Xs
     rows = [sum(r1 - r0 for r0, r1 in b) for b in blocks]  # the chunk's row blocks' reads
     assert len(times) == len(rows) and sum(times) == s.dt.size
     return times, rows
 
 
-def _chunk_reads(s, Bg, U):
+def _chunk_reads(s, Bg, Theta):
     """Each chunk's event times, and the row blocks ``(r0, r1)`` the pass over s reads for it.
 
     A chunk reads its rows a block at a time from row 0 on, so a read from
-    row 0 starts the next chunk's reads.
+    row 0 starts the next chunk's reads.  The pass makes ``U = Xs Theta``,
+    which is a ``RecordedU`` like the covariates it is made from.
     """
     reads = {"Bg": [], "U": []}
 
@@ -787,10 +816,16 @@ def _chunk_reads(s, Bg, U):
                 reads[self.name].append(key)
             return np.asarray(self)[key]
 
-    Bg, U = Bg.view(Recorded), U.view(Recorded)
-    Bg.name, U.name = "Bg", "U"
-    spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L)
-    likelihood_module._risk_set_pass(spy, Bg, U)
+    class RecordedBg(Recorded):
+        name = "Bg"
+
+    class RecordedU(Recorded):
+        name = "U"
+
+    m = s.dt.size
+    spy = types.SimpleNamespace(order=s.order, dt=s.dt, L=s.L, Xs=s.Xs.view(RecordedU))
+    likelihood_module._chunk_loop(spy, Bg.view(RecordedBg), Theta, np.empty(m),
+                                  np.empty((m, 0)))
     blocks = []
     for k in reads["U"]:
         if k.start == 0:
@@ -831,8 +866,7 @@ def _blocks_per_chunk(index, basis, theta):
     """The number of row blocks of every chunk of every stratum's pass."""
     counts = []
     for s in index.strata:
-        counts += [len(b) for b in _chunk_reads(s, *likelihood_module._factors(s, basis.values,
-                                                                              theta))[1]]
+        counts += [len(b) for b in _chunk_reads(s, _event_basis_rows(s, basis), theta)[1]]
     return counts
 
 
@@ -914,7 +948,7 @@ def test_staircase_bands_across_row_blocks_match_oracles(P, K, width, monkeypatc
     (s,) = index.strata
     assert np.array_equal(s.L, np.arange(1, ds.n + 1))
     theta = np.random.default_rng(39).normal(0, 0.3, (P, K))
-    times, blocks = _chunk_reads(s, *likelihood_module._factors(s, basis.values, theta))
+    times, blocks = _chunk_reads(s, _event_basis_rows(s, basis), theta)
     first = np.cumsum([0] + times[:-1])  # each chunk's first event time
     crossing = [s.L[a] // ROW_BLOCK < (s.L[a + t - 1] - 1) // ROW_BLOCK
                 for a, t in zip(first, times)]
@@ -939,7 +973,7 @@ def test_sums_out_of_range_are_made_again_across_row_blocks(P, kind, monkeypatch
     (s,) = index.strata
     # a chunk made again reads its blocks three times: for the unshifted
     # sums, each event time's max over every block, and the shifted sums
-    times, blocks = _chunk_reads(s, *likelihood_module._factors(s, basis.values, theta))
+    times, blocks = _chunk_reads(s, _event_basis_rows(s, basis), theta)
     assert len(blocks) > len(times) and min(len(b) for b in blocks) >= 3
     lls = {name: evaluate_report(ds, index, basis, theta, **kw).loglik
            for name, kw in PASS_KINDS.items()}
@@ -1066,7 +1100,7 @@ def _out_of_range_instance(kind, P, n=40, seed=231):
 def test_sums_out_of_range_are_made_again_with_the_exact_max(P, kind):
     ds, basis, index, theta = _out_of_range_instance(kind, P)
     (s,) = index.strata
-    Bg, U = likelihood_module._factors(s, basis.values, theta)
+    Bg, U = _event_basis_rows(s, basis), s.Xs @ theta
     eta = Bg @ U.T
     in_risk_set = np.arange(s.order.size) < s.L[:, None]
     top = np.where(in_risk_set, eta, -np.inf).max(axis=1)
