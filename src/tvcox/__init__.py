@@ -16,11 +16,14 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 from ._version import __version__
 from .data import (
+    PreparedData,
     RiskIndex,
     StandardizationTransform,
     SurvivalDataset,
     build_risk_index,
+    csv_shape,
     load_csv,
+    prepare,
     standardize,
     write_csv,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import inference, likelihood, simulate
 from ._version import __version__
-from .data import load_csv, write_csv
+from .data import _load_bytes, csv_shape, load_csv, prepare, write_csv
 from .errors import TvcoxError, UsageError
 from .optimizers import MmsaConfig
 from .splines import make_spec
@@ -185,9 +185,27 @@ def _mmsa_config(cfg: dict) -> MmsaConfig:
         raise UsageError(str(e)) from None
 
 
-def _fit(dataset, spec, cfg):
-    """The fit that ``cfg`` names, on the fitting scale, with the data it ran on."""
-    return inference.fit_by_name(cfg["optimizer"])(dataset, spec, _mmsa_config(cfg))
+def _fit(data, spec, cfg):
+    """The fit that ``cfg`` names, of a dataset or prepared data, with the data it ran on."""
+    return inference.fit_by_name(cfg["optimizer"])(data, spec, _mmsa_config(cfg))
+
+
+def _require_capacity(cfg, K):
+    """Refuse, before the CSV is parsed, a load or a fit larger than physical memory.
+
+    n is the count of the file's data rows and P that of its header's
+    covariates, both read without parsing a row.  The load is refused when
+    ``load_csv``'s measured peak for n rows of P covariates, rounded up,
+    exceeds physical memory, and the fit when the arrays that it holds for
+    certain, from n, P and K alone, do (``likelihood._fit_bytes``); the
+    passes check their own needs once the risk index is built.  n is exact
+    and the fit's count is a floor, so a file is refused only near where
+    its load or its fit would run out of memory.
+    """
+    n, P = csv_shape(cfg["data"])
+    likelihood._require_memory(_load_bytes(n, P), f"loading {n} rows of {P} covariates")
+    likelihood._require_memory(likelihood._fit_bytes(n, P, K, cfg["optimizer"] == "newton"),
+                               f"a fit of {n} rows, {P} covariates and K={K}")
 
 
 def _residuals_and_tests(fit, spec):
@@ -208,11 +226,21 @@ def _fit_and_tests(dataset, spec, cfg):
 def cmd_fit(args) -> int:
     """fit coefficient curves from a CSV dataset"""
     cfg = _resolve(args)
+    _require_capacity(cfg, cfg["K"])
     dataset = load_csv(cfg["data"])
     spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=dataset.event_times)
-    fit, names = _fit(dataset, spec, cfg), dataset.covariate_names
-    dataset = None  # the fit runs on its own standardized copy; this one is freed here
+    names = dataset.covariate_names
+    # the prepared index holds the covariates on the fitting scale: the
+    # loaded dataset is freed before the first pass, and the prepared data,
+    # which the fit keeps, once the residuals are built
+    data, dataset = prepare(dataset), None
+    fit, data = _fit(data, spec, cfg), None
     resid, tests = _residuals_and_tests(fit, spec)
+    if tests:
+        # the tests keep V's inverse on the bundle, the covariance's source:
+        # V and the residuals' factors are not held beside its copy, which
+        # with one copy of X in the fit would peak above the fit itself
+        resid.V = resid.centered = resid.basis_rows = None
     cov = inference.covariance_from_residuals(resid)
     resid = None  # read; not held while the outputs are written
     lo, hi = spec.domain
@@ -308,6 +336,7 @@ def cmd_cv(args) -> int:
         raise UsageError("--K-grid must list at least one K")
     if cfg["folds"] < 2:
         raise UsageError("--folds must be at least 2")
+    _require_capacity(cfg, max(candidates))
     dataset = load_csv(cfg["data"])
     report = inference.cross_validate_K(dataset, candidates, folds=cfg["folds"],
                                         config=_mmsa_config(cfg), degree=cfg["degree"],

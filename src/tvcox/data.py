@@ -8,7 +8,11 @@ stratum's rows.  Events sharing a stratum and a tied time share one
 denominator, so they are grouped by distinct event time, and the event
 times' arrays run over the strata in the same order.  A stratum is a set
 of slices of these arrays, with the same names and local meanings, and a
-subsample's index is one filter of the full index's order.
+subsample's index is one filter of the full index's order and covariates.
+
+A fit runs on ``prepare``'s data, which holds one array of the
+covariates: its index's ``Xs``, in the index's order and on the fitting
+scale.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -32,10 +36,13 @@ __all__ = [
     "SurvivalDataset",
     "RiskIndex",
     "StandardizationTransform",
+    "PreparedData",
     "load_csv",
+    "csv_shape",
     "write_csv",
     "build_risk_index",
     "standardize",
+    "prepare",
 ]
 
 _MANDATORY = ("time", "status", "stratum")
@@ -180,18 +187,30 @@ class RiskIndex:
     rows are ``event_rows[event_starts[g]:event_starts[g+1]]``.  The
     strata's rows start at ``row_starts`` and their event times at
     ``time_starts``, and ``strata`` holds each stratum's slices of these
-    arrays.  Without ``order`` one sort gives it; a subsample draw passes
-    the full index's ``order`` filtered by its row mask, which keeps it
-    sorted, so the draw's index reads the dataset's arrays and needs no
-    sort.  One scan of where each stratum and each (stratum, time) run of
-    rows starts builds the rest.
+    arrays.  One sort gives ``order``, and ``Xs`` is the dataset's
+    covariates gathered into it.  A subsample draw passes the full index
+    as ``within`` and its row mask as ``drawn``: its order is the full
+    index's order filtered by the mask, which keeps it sorted, and its
+    ``Xs`` the same filter of the full index's ``Xs``, so a draw sorts
+    nothing, reads no covariates of the dataset and takes the full
+    index's scale.  One scan of where each stratum and each (stratum,
+    time) run of rows starts builds the rest.
+
+    The index that ``prepare`` builds for a fit has its ``Xs`` on the
+    fitting scale, standardized in place, and its ``SX`` made from it;
+    that ``Xs`` is then the fit's one array of the covariates.
     """
 
-    def __init__(self, dataset: SurvivalDataset, order=None):
-        if order is None:
+    def __init__(self, dataset: SurvivalDataset, within: RiskIndex | None = None, drawn=None):
+        if within is None:
             order = np.lexsort((np.arange(dataset.n), -dataset.time, dataset.stratum))
+        else:
+            at = np.flatnonzero(drawn[within.order])  # the drawn rows' positions in within
+            order = within.order[at]
         stratum, status = dataset.stratum[order], dataset.status[order]
-        order = order[np.bincount(stratum, weights=status)[stratum] > 0]
+        kept = np.bincount(stratum, weights=status)[stratum] > 0
+        order = order[kept]
+        self.Xs = dataset.covariates[order] if within is None else within.Xs[at[kept]]
         stratum, time, status = (a[order] for a in (dataset.stratum, dataset.time, dataset.status))
         first = np.concatenate(([True], stratum[1:] != stratum[:-1]))  # a stratum's first row
         runs = np.flatnonzero(first | np.concatenate(([True], time[1:] != time[:-1])))
@@ -202,7 +221,7 @@ class RiskIndex:
         count = np.add.reduceat(status, runs)
         hit = np.flatnonzero(count)
         runs, ends, base, count = runs[hit], ends[hit], base[hit], count[hit]
-        self.order, self.Xs = order, dataset.covariates[order]
+        self.order = order
         self.dt, self.L, self.d = time[runs], ends - base, count.astype(float)
         self.event_rows = order[status == 1]
         self.event_starts = np.concatenate(([0], np.cumsum(count)))
@@ -242,11 +261,10 @@ class StandardizationTransform:
                 "names": list(self.names)}
 
 
-def standardize(dataset: SurvivalDataset):
-    """Center and scale covariates to unit sample SD (denominator n-1).
+def _standardization(dataset: SurvivalDataset) -> StandardizationTransform:
+    """The transform to unit sample SD (denominator n-1), from the rows in their own order.
 
-    Returns the transformed dataset and the transform.  A zero-variance
-    column cannot be scaled and raises DegenerateCovariateError.
+    A zero-variance column cannot be scaled and raises DegenerateCovariateError.
     """
     X = dataset.covariates
     center = X.mean(axis=0)
@@ -255,12 +273,73 @@ def standardize(dataset: SurvivalDataset):
     if bad.size:
         raise DegenerateCovariateError(
             f"covariate '{dataset.covariate_names[bad[0]]}' has zero variance")
+    return StandardizationTransform(center, scale, dataset.covariate_names)
+
+
+def standardize(dataset: SurvivalDataset):
+    """Center and scale covariates to unit sample SD (denominator n-1).
+
+    Returns the transformed dataset and the transform.  A zero-variance
+    column cannot be scaled and raises DegenerateCovariateError.
+    """
+    transform = _standardization(dataset)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = SurvivalDataset(dataset.time, dataset.status, dataset.stratum,
-                              dataset.stratum_labels, (X - center) / scale,
+                              dataset.stratum_labels,
+                              (dataset.covariates - transform.center) / transform.scale,
                               dataset.covariate_names)
-    return out, StandardizationTransform(center, scale, dataset.covariate_names)
+    return out, transform
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedData:
+    """A dataset prepared for fitting, holding one array of its covariates.
+
+    ``time``, ``status`` and ``stratum`` are the dataset's own arrays, not
+    copies.  ``index`` is its risk index, whose ``Xs`` holds the covariates
+    in the index's order on the fitting scale: standardized by
+    ``transform``, or as given where ``transform`` is None.  Nothing else
+    here holds covariates, so once the dataset itself is released a fit
+    holds one copy of them.  It stands in for the dataset as the first
+    argument of the likelihood functions, which read the covariates from
+    the index alone, and as the data of a fit.
+    """
+
+    time: np.ndarray
+    status: np.ndarray
+    stratum: np.ndarray
+    index: RiskIndex = field(repr=False)
+    transform: StandardizationTransform | None
+
+    @property
+    def n(self) -> int:
+        return self.time.shape[0]
+
+    @property
+    def P(self) -> int:
+        return self.index.Xs.shape[1]
+
+
+def prepare(dataset: SurvivalDataset, do_standardize: bool = True) -> PreparedData:
+    """A fit's data, with one array of the covariates: its index's ``Xs``.
+
+    With ``do_standardize`` the center and scale are ``standardize``'s,
+    computed from the dataset's rows in their own order.  The index gathers
+    the covariates into its order, and they are standardized there in
+    place, ``Xs -= center; Xs /= scale``; its ``SX`` is then made again
+    from them by the same sum.  Each value is therefore the one that
+    ``build_risk_index(standardize(dataset)[0])`` holds, bit for bit, and
+    no standardized copy of the dataset is made.
+    """
+    transform = _standardization(dataset) if do_standardize else None
+    index = build_risk_index(dataset)
+    if transform is not None:
+        index.Xs -= transform.center
+        index.Xs /= transform.scale
+        events = dataset.status[index.order] == 1
+        np.add.reduceat(index.Xs[events], index.event_starts[:-1], axis=0, out=index.SX)
+    return PreparedData(dataset.time, dataset.status, dataset.stratum, index, transform)
 
 
 def load_csv(path) -> SurvivalDataset:
@@ -284,6 +363,29 @@ def load_csv(path) -> SurvivalDataset:
         header = _read_header(csv.reader(fh))
         dataset = _parse_rows(fh, header)
     return _load_csv_cells(path) if dataset is None else dataset
+
+
+def csv_shape(path) -> tuple:
+    """``(n, P)`` of a ``load_csv`` file, read without parsing a data row.
+
+    P counts the header's covariate columns, and n the lines after the
+    header that are not blank: the data rows of any file that ``load_csv``
+    accepts.  A header that ``load_csv`` refuses raises its error.
+    """
+    with open(path, "rb") as fh:  # undecoded: the rows are only counted
+        header = _read_header(csv.reader(line.decode(errors="replace") for line in fh))
+        n = sum(1 for line in fh if not line.isspace())
+    return n, len(header) - len(_MANDATORY)
+
+
+def _load_bytes(n: int, P: int) -> int:
+    """Bytes that ``load_csv`` holds at its peak for n rows of P covariates.
+
+    ``np.loadtxt`` parses the n x (P + 3) table of doubles, and the whole
+    load's traced peak was 2.5-3.1 times the table (numpy 2.4: 3.06 at
+    P=40, 2.87 at P=4, 3.11 at P=200), so it counts 3.25 tables.
+    """
+    return 26 * n * (P + len(_MANDATORY))
 
 
 def _read_header(reader) -> list:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import likelihood as lk
 from . import optimizers as opt
-from .data import SurvivalDataset, build_risk_index
+from .data import SurvivalDataset, build_risk_index, prepare
 from .errors import ConditioningError, FoldConstructionError, RankDeficiencyError
 from .splines import SplineSpec, evaluate_batch, make_spec
 
@@ -319,8 +319,10 @@ def cross_validate_K(dataset: SurvivalDataset, candidate_Ks, folds: int = 5,
     For fold k with training fit theta_k, the fold score is
     CV_k = loglik_full(theta_k) - loglik_train(theta_k), where loglik_train
     is the fold fit's reported log likelihood: the partial likelihood is
-    invariant to the fit's standardization.  The chosen K maximizes the
-    summed score; ties go to the smallest K, then the first occurrence.
+    invariant to the fit's standardization.  Each fold fit runs, as
+    ``tvcox fit`` does, on the prepared data of its training rows.  The
+    chosen K maximizes the summed score; ties go to the smallest K, then
+    the first occurrence.
     """
     config = config or opt.MmsaConfig()
     candidates = [int(K) for K in candidate_Ks]
@@ -335,7 +337,9 @@ def cross_validate_K(dataset: SurvivalDataset, candidate_Ks, folds: int = 5,
         spec = make_spec(degree=degree, K=K, event_times=dataset.event_times)
         full_basis = evaluate_batch(spec, dataset.time)
         for k in range(folds):
-            result = fit(dataset.subset(np.flatnonzero(assign != k)), spec, config)
+            # the training rows' subset is released once prepared, so the
+            # fold fit holds one copy of their covariates
+            result = fit(prepare(dataset.subset(np.flatnonzero(assign != k))), spec, config)
             theta, ll_train = result.theta_original, result.loglik
             del result  # frees its fitting data before the full-data pass and the next fit
             ll_full = lk.evaluate_report(dataset, full_index, full_basis,

@@ -501,18 +501,39 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     return 8 * (entries + P * times + P * K) + chunk + 8192
 
 
+def _fit_bytes(n: int, P: int, K: int, full: bool) -> int:
+    """Bytes that a fit of n rows holds for certain, from n, P and K alone.
+
+    The larger of two stages.  While ``data.prepare`` runs: the dataset
+    (its covariates, times, status and strata) beside the index's ``Xs``
+    and ``order``.  Then the fit's data, whatever its strata and event
+    times: ``Xs``, the basis at every row (its values and times), the
+    rows' status and strata and the index's order; with ``full``, beside
+    the PK x PK Hessian that each Newton iteration solves, its Cholesky
+    factor and LAPACK's copy of it.  Every array that depends on the event
+    times or the strata is left out, so no fit that fits in memory exceeds
+    the count; the passes check their own needs once the index is built.
+    """
+    prepared = n * (2 * P + 4)
+    fitted = n * (P + K + 4) + (3 * (P * K) ** 2 if full else 0)
+    return 8 * max(prepared, fitted)
+
+
 def _residual_bytes(index: RiskIndex, P: int, K: int) -> int:
     """Bytes of the largest arrays ``score_residuals`` holds at once.
 
-    Over all n_e events: five index vectors (the event rows and their
-    means' rows, the time order and both reordered); the centred
-    covariates and the risk-set means subtracted from them, or later two
-    blocks' factors C_k and C_l; the basis rows and two non-zero masks of
-    them; then V, a P x P block and the column sum.  The means passed in,
-    and a gradient pass made when none are, are not counted.
+    Over all n_e events: seven index vectors (the event rows, their means'
+    rows and their positions in the index, the time order, and the three
+    reordered), beside the status of every row in index order, from which
+    the positions are found; the centred covariates and the risk-set means
+    subtracted from them, or later two blocks' factors C_k and C_l; the
+    basis rows and two non-zero masks of them; then V, a P x P block and
+    the column sum.  The means passed in, and a gradient pass made when
+    none are, are not counted.
     """
     e = index.n_events
-    return 8 * (e * (5 + 3 * P + K) + (P * K) ** 2 + P * P + P * K) + 2 * e * K
+    return (8 * (index.order.size + e * (7 + 3 * P + K) + (P * K) ** 2 + P * P + P * K)
+            + 2 * e * K)
 
 
 def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatrix,
@@ -525,6 +546,9 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
 
     Parameters
     ----------
+    dataset : SurvivalDataset or data.PreparedData
+        The data that ``index`` was built from; only its P is read, since
+        every pass reads the covariates from ``index.Xs``.
     basis : BasisMatrix
         Basis rows at every observed time (``evaluate_batch(spec, dataset.time)``);
         only event rows are read.
@@ -666,8 +690,11 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     ``risk_set_means`` are the risk-set means of a pass made at theta, as
     ``LikelihoodReport.risk_set_means`` or ``FitResult.risk_set_means`` keep
     them; the residuals are then built from them with no risk-set pass.
-    Without them, one gradient pass at theta computes them.  The events are
-    taken in order of time, so the events where a basis function is
+    Without them, one gradient pass at theta computes them.  The covariates
+    are read by position from ``index.Xs``, as every pass reads them, so
+    the residuals are on the index's scale: the fitting scale for a fit's
+    data, whose dataset holds no covariates (``data.prepare``).  The events
+    are taken in order of time, so the events where a basis function is
     non-zero are one run of rows, and each block of V is made over the rows
     where both of its functions can be non-zero; Psi itself is not formed.
 
@@ -681,13 +708,16 @@ def score_residuals(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     _require_memory(_residual_bytes(index, P, K), "score residuals")
     if risk_set_means is None:
         risk_set_means = evaluate_report(dataset, index, basis, theta).risk_set_means
-    # each event's row of the means, which hold every stratum's event times in index order
+    # each event's row of the means, which hold every stratum's event times
+    # in index order, and its position in the index, each taken in order of
+    # the events' times, which are their event times'
     group = np.repeat(np.arange(index.dt.size), np.diff(index.event_starts))
-    by_time = np.argsort(dataset.time[index.event_rows], kind="stable")
-    rows, group = index.event_rows[by_time], group[by_time]
-    centered = dataset.covariates[rows]
+    at = np.flatnonzero(dataset.status[index.order])
+    by_time = np.argsort(index.dt[group], kind="stable")
+    rows, group, at = index.event_rows[by_time], group[by_time], at[by_time]
+    centered = index.Xs[at]
     centered -= risk_set_means[group]
-    group = by_time = None  # released before the basis rows and V
+    group = at = by_time = None  # released before the basis rows and V
     B = basis.values[rows]
     nz = B != 0
     overlap = nz.T @ nz  # the basis pairs that are both non-zero at some event

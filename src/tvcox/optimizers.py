@@ -16,7 +16,11 @@ available through :func:`mmsa_block_quantities` and the fit trace.
 Baselines used for benchmarking: full-Hessian Newton with backtracking,
 and cyclic coordinate ascent.  All optimizers standardize covariates
 internally by default and record the transform, and the data they fitted,
-on the result.
+on the result.  A fit takes a dataset, or the data that
+``data.prepare`` made from one, and runs on prepared data either way:
+its one array of the covariates is its risk index's ``Xs``, on the
+fitting scale, so a caller that prepares the data and releases the
+dataset leaves the fit holding one copy of the covariates.
 
 Each ``*_fit`` is a small step function run by one private loop,
 ``_drive``, which holds all of a fit's loop state: the latest full-data
@@ -39,8 +43,9 @@ only at the first iteration and after every window of 20 updates, by a
 loglik-only pass; a draw with no events, or with every block score below
 tol, makes no update and brings the next check no closer.  A draw is a
 risk index over a subset of the fit's own rows, one filter of the flat
-order of the fit's index, read together with the fit's dataset and basis,
-so it copies no data and sorts nothing.  The reported
+order and of the covariates of the fit's index, read together with the
+fit's data and basis, so it copies only its own rows and sorts nothing.
+The reported
 log likelihood is read off the latest full-data pass when it was made at
 the returned theta, of whatever kind, since every pass kind reports the
 same value; otherwise a loglik-only pass is made there.
@@ -54,7 +59,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import likelihood as lk
-from .data import RiskIndex, SurvivalDataset, build_risk_index, standardize
+from .data import PreparedData, RiskIndex, SurvivalDataset, prepare
 from .errors import AscentViolationError, ConditioningError
 from .splines import BasisMatrix, SplineSpec, evaluate_batch
 
@@ -133,11 +138,14 @@ class FitResult:
 
     ``theta`` is on the fitting (standardized) scale when a transform is
     present; ``theta_original`` undoes the scaling.  ``fitting_data`` is the
-    ``(dataset, index, basis)`` the fit ran on, on the fitting scale and in
-    the likelihood functions' argument order, as in
-    ``score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)``;
-    the result keeps these arrays alive until the field is cleared, as
-    ``tvcox fit`` and ``bench`` clear it once the residuals are built.
+    ``(prepared, index, basis)`` the fit ran on, in the likelihood
+    functions' argument order, as in
+    ``score_residuals(*fit.fitting_data, fit.theta, fit.risk_set_means)``:
+    the ``PreparedData`` (see ``data.prepare``), its risk index, whose
+    ``Xs`` is the fit's one array of the covariates, on the fitting scale,
+    and the basis at every row's time.  The result keeps these arrays alive
+    until the field is cleared, as ``tvcox fit`` and ``bench`` clear it
+    once the residuals are built.
     ``risk_set_means`` is the m x P array of risk-set means, over every
     stratum's event times, of the pass that the fit's log likelihood was
     read off, at the returned theta (that pass's
@@ -242,10 +250,12 @@ def _subsample(data: tuple, config: MmsaConfig, iteration: int) -> RiskIndex | N
 
     Counter-based: Philox keyed by the seed with the iteration as counter,
     so any iteration's draw is reproducible in isolation.  The draw keeps
-    the fit's ``(dataset, basis)`` and its row numbers: its index is one
-    filter of the fit's index's flat order by the drawn rows, which keeps
-    the order sorted, so a draw copies no data and sorts nothing.  Returns
-    that index, or None when the draw contains no events.
+    the fit's ``(prepared, basis)`` and its row numbers: its index is one
+    filter of the fit's index by the drawn rows, of its flat order, which
+    keeps the order sorted, and of its ``Xs``, so a draw reads the fit's
+    covariates on the fitting scale, copies only its own rows of them and
+    sorts nothing.  Returns that index, or None when the draw contains no
+    events.
     """
     work, index, _ = data
     n = work.n
@@ -256,18 +266,23 @@ def _subsample(data: tuple, config: MmsaConfig, iteration: int) -> RiskIndex | N
     drawn[gen.choice(n, size=k, replace=False)] = True
     if not work.status[drawn].any():
         return None
-    return RiskIndex(work, index.order[drawn[index.order]])
+    return RiskIndex(work, within=index, drawn=drawn)
 
 
 class _Problem:
-    """One fit's data on the fitting scale and its likelihood passes."""
+    """One fit's data on the fitting scale and its likelihood passes.
 
-    def __init__(self, dataset: SurvivalDataset, spec: SplineSpec, do_standardize: bool):
-        self.transform = None
-        if do_standardize:
-            dataset, self.transform = standardize(dataset)
-        basis = evaluate_batch(spec, dataset.time)
-        self.data = (dataset, build_risk_index(dataset), basis)
+    ``data`` is ``(prepared, index, basis)``: ``prepare``'s data, given or
+    made here from a dataset, its index, whose ``Xs`` is the fit's one array
+    of the covariates, and the basis at every row's time.
+    """
+
+    def __init__(self, data: SurvivalDataset | PreparedData, spec: SplineSpec,
+                 do_standardize: bool):
+        if not isinstance(data, PreparedData):
+            data = prepare(data, do_standardize)
+        self.transform = data.transform
+        self.data = (data, data.index, evaluate_batch(spec, data.time))
         self._latest = None  # (wants, report) of the latest pass, of any kind
         self.unit_accepted = True  # the latest line search accepted its unit step
 
@@ -302,9 +317,14 @@ class _Problem:
         return kept.loglik if kept is not None else self.report(theta, want_gradient=False).loglik
 
 
-def _drive(optimizer: str, make_step, dataset: SurvivalDataset, spec: SplineSpec,
-           config: MmsaConfig | None, init_theta, do_standardize: bool) -> FitResult:
+def _drive(optimizer: str, make_step, dataset: SurvivalDataset | PreparedData,
+           spec: SplineSpec, config: MmsaConfig | None, init_theta,
+           do_standardize: bool) -> FitResult:
     """Run one fit with the step function that ``make_step(problem, config)`` returns.
+
+    ``dataset`` is a dataset, which ``prepare(dataset, do_standardize)``
+    prepares, or prepared data, which carries its own standardization, so
+    ``do_standardize`` is not read for it.
 
     ``make_step`` returns ``(step, check_every)``.  ``step(theta, m, ll_prev)``
     evaluates iteration m, runs the method's guard and returns
@@ -424,13 +444,14 @@ def _mmsa_step(problem: _Problem, config: MmsaConfig):
     return (stochastic, _CHECK_WINDOW) if config.subsample_fraction < 1.0 else (full, 0)
 
 
-def mmsa_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
-             init_theta=None, do_standardize: bool = True) -> FitResult:
+def mmsa_fit(dataset: SurvivalDataset | PreparedData, spec: SplineSpec,
+             config: MmsaConfig | None = None, init_theta=None,
+             do_standardize: bool = True) -> FitResult:
     """Block-selected ascent fit of the coefficient matrix.
 
     Per iteration: evaluate the gradient and the P diagonal Hessian blocks
     (on an eta-subsample when configured: the drawn rows of the fitted
-    data, read in place through a risk index of their own), pick
+    data, through a risk index that filters the fit's), pick
     p* = argmax_p c_p (ties to the smallest index), and move that block by
     ``nu`` times its ridged Newton direction.  Stops when max_p c_p < tol,
     when the relative change of the full-data log likelihood falls below
@@ -497,8 +518,9 @@ def _newton_step(problem: _Problem, config: MmsaConfig):
     return step, 0
 
 
-def newton_fit(dataset: SurvivalDataset, spec: SplineSpec, config: MmsaConfig | None = None,
-               init_theta=None, do_standardize: bool = True) -> FitResult:
+def newton_fit(dataset: SurvivalDataset | PreparedData, spec: SplineSpec,
+               config: MmsaConfig | None = None, init_theta=None,
+               do_standardize: bool = True) -> FitResult:
     """Full-Hessian Newton ascent with backtracking line search.
 
     The dense PK x PK Hessian is built each iteration (refused past
@@ -551,7 +573,7 @@ def _coordinate_step(problem: _Problem, config: MmsaConfig):
     return step, 0
 
 
-def coordinate_ascent_fit(dataset: SurvivalDataset, spec: SplineSpec,
+def coordinate_ascent_fit(dataset: SurvivalDataset | PreparedData, spec: SplineSpec,
                           config: MmsaConfig | None = None, init_theta=None,
                           do_standardize: bool = True) -> FitResult:
     """Cyclic coordinate ascent over the PK scalar coefficients.

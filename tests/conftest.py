@@ -64,3 +64,27 @@ def count_risk_indexes(monkeypatch):
         real(self, dataset)
     monkeypatch.setattr(tv.RiskIndex, "__init__", counted)
     return built
+
+
+def covariate_buffers(fitting_data):
+    """The arrays that own the memory of every covariate array a fit's data holds.
+
+    Every array held by the ``(data, index, basis)`` of a fit, or by the
+    index's strata, is followed to the array that owns its memory; the
+    owners with the index's P columns and at least its rows are returned,
+    each once.
+    """
+    data, index, basis = fitting_data
+    rows, P = index.Xs.shape
+    owners = {}
+    for obj in (data, index, basis, *index.strata):
+        fields = vars(obj).values() if hasattr(obj, "__dict__") else \
+            [getattr(obj, name) for name in obj.__slots__]
+        for a in fields:
+            if not isinstance(a, np.ndarray):
+                continue
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if a.ndim == 2 and a.shape[1] == P and a.shape[0] >= rows:
+                owners[id(a)] = a
+    return list(owners.values())

@@ -14,7 +14,7 @@ from tvcox import cli
 from tvcox.cli import main
 from tvcox.data import SurvivalDataset, write_csv
 
-from conftest import count_risk_indexes
+from conftest import count_risk_indexes, covariate_buffers
 
 
 def run(argv, capsys):
@@ -198,6 +198,17 @@ class TestResidualsFromTheFitsLastPass:
         monkeypatch.undo()
         ((mark, fitting_data),) = after_fit
         assert fit.fitting_data is None
+        # the fit's data holds the covariates once, as its index's Xs, which
+        # the residuals read: they are those of standardize's copy of the
+        # data and that copy's own RiskIndex, bit for bit
+        assert covariate_buffers(fitting_data) == [fitting_data[1].Xs]
+        assert not hasattr(fitting_data[0], "covariates")
+        work = tvcox.standardize(ds)[0]
+        by_hand = (work, tvcox.RiskIndex(work), tvcox.evaluate_batch(spec, work.time))
+        kept = tvcox.score_residuals(*fitting_data, fit.theta)
+        rebuilt = tvcox.score_residuals(*by_hand, fit.theta)
+        for name in ("event_rows", "total", "V", "centered", "basis_rows"):
+            assert np.array_equal(getattr(kept, name), getattr(rebuilt, name)), name
         return fit, resid, len(passes) - mark, fitting_data
 
     def test_a_converged_newton_fit_makes_no_pass(self, monkeypatch):
@@ -600,3 +611,89 @@ def test_fit_frees_the_loaded_dataset_before_the_residuals(tmp_path, capsys, mon
     assert alive == [False]
     _, _, rows = read_rows(tmp_path / "fit" / "tests.csv")
     assert [r[0] for r in rows] == ["x1", "x2"]
+
+
+def test_fit_frees_the_loaded_dataset_before_the_first_pass(tmp_path, capsys, monkeypatch):
+    # the prepared index holds the covariates on the fitting scale, so the
+    # loaded dataset is released before the fit makes its first pass
+    import weakref
+
+    data = simulate_csv(tmp_path, capsys)
+    loaded, alive = [], []
+    real_load, real_pass = cli.load_csv, tvcox.likelihood.evaluate_report
+
+    def load(path):
+        dataset = real_load(path)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def evaluate_report(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return real_pass(*args, **kwargs)
+    monkeypatch.setattr(cli, "load_csv", load)
+    monkeypatch.setattr(tvcox.likelihood, "evaluate_report", evaluate_report)
+    rc, _, err = run(["fit", "--data", data, "--K", "4", "--optimizer", "newton",
+                      "--out", str(tmp_path / "fit")], capsys)
+    assert rc == 0, err
+    assert alive and not any(alive)
+
+
+def test_fit_at_P40_holds_one_copy_of_the_covariates(tmp_path, capsys):
+    # the benchmark's newton_p40 command at seed 11: n=2000, P=40, K=8, so X
+    # is 0.61 MiB.  Holding the loaded, the standardized and the index's
+    # copies of X through the passes, it peaked at 7.6 X in process; with the
+    # index's one copy, at 5.6 X
+    data = str(tmp_path / "p40.csv")
+    rc, _, err = run(["simulate", "--setting", "1", "--n", "2000", "--P", "40",
+                      "--seed", "11", "--out", data], capsys)
+    assert rc == 0, err
+    tracemalloc.start()
+    try:
+        rc, _, err = run(["fit", "--data", data, "--K", "8", "--optimizer", "newton",
+                          "--tol", "1e-8", "--out", str(tmp_path / "fit")], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, err
+    assert peak < 6.3 * 8 * 2000 * 40
+
+
+class TestCapacityBeforeTheLoad:
+    """``fit`` and ``cv`` refuse what cannot fit in memory before they parse a row."""
+
+    def test_refused_before_any_array_of_the_covariates_size(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # n=2000, P=40: X is 0.61 MiB, and neither the load nor the fit fits in 1 MiB
+        data = str(tmp_path / "p40.csv")
+        rc, _, err = run(["simulate", "--setting", "1", "--n", "2000", "--P", "40",
+                          "--seed", "11", "--out", data], capsys)
+        assert rc == 0, err
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: 1 << 20)
+        out = tmp_path / "out"
+        for argv in (["fit", "--data", data, "--K", "8", "--optimizer", "newton"],
+                     ["cv", "--data", data, "--K-grid", "4,8", "--seed", "2"]):
+            tracemalloc.start()
+            try:
+                rc, stdout, err = run(argv + ["--out", str(out)], capsys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rc == 1 and stdout == ""
+            assert err.startswith("ERROR CAPACITY: loading 2000 rows of 40 covariates needs")
+            assert peak < 8 * 2000 * 40
+        assert not out.exists()
+
+    @pytest.mark.parametrize("K, what", [(4, "loading 150 rows of 2 covariates"),
+                                         (20, "a fit of 150 rows, 2 covariates and K=20")])
+    def test_no_file_that_fits_is_refused(self, K, what, tmp_path, capsys, monkeypatch):
+        # the counts hold for n exactly: the larger of them is enough memory,
+        # and a byte less is refused, naming the larger; K=20 makes the
+        # Newton fit's 3 (PK)^2 Hessian arrays the larger
+        data = simulate_csv(tmp_path, capsys)  # setting 3: n=150, P=2
+        cfg = {"data": data, "optimizer": "newton"}
+        need = max(cli._load_bytes(150, 2), tvcox.likelihood._fit_bytes(150, 2, K, True))
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: need)
+        cli._require_capacity(cfg, K)
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: need - 1)
+        with pytest.raises(tvcox.CapacityError, match=what):
+            cli._require_capacity(cfg, K)

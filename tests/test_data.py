@@ -290,6 +290,64 @@ def test_standardize_rejects_constant_column():
         standardize(ds)
 
 
+INDEX_ARRAYS = ("order", "Xs", "dt", "L", "d", "event_rows", "event_starts", "SX",
+                "row_starts", "time_starts")
+
+
+@pytest.mark.parametrize("J", [1, 4])
+def test_prepare_is_the_index_of_standardize_s_copy(J):
+    # the index's Xs, gathered and then standardized in place, and its SX,
+    # made again from that Xs, are the bits of the index of standardize's
+    # copy; the prepared data shares the dataset's rows and holds no covariates
+    ds = make_instance(15, n=70, P=3, J=J)[0]
+    data = tv.prepare(ds)
+    work, transform = standardize(ds)
+    want = build_risk_index(work)
+    for name in INDEX_ARRAYS:
+        assert np.array_equal(getattr(data.index, name), getattr(want, name)), name
+    for got, ref in zip(data.index.strata, want.strata):
+        assert np.array_equal(got.Xs, ref.Xs) and np.array_equal(got.SX, ref.SX)
+        assert np.shares_memory(got.Xs, data.index.Xs)
+    assert np.array_equal(data.transform.center, transform.center)
+    assert np.array_equal(data.transform.scale, transform.scale)
+    assert data.transform.names == transform.names
+    assert (data.n, data.P) == (ds.n, ds.P)
+    assert data.time is ds.time and data.status is ds.status and data.stratum is ds.stratum
+    assert not hasattr(data, "covariates")
+
+
+def test_prepare_without_standardizing_keeps_the_covariates():
+    ds = make_instance(16, n=50, P=2)[0]
+    data = tv.prepare(ds, do_standardize=False)
+    assert data.transform is None
+    want = build_risk_index(ds)
+    for name in INDEX_ARRAYS:
+        assert np.array_equal(getattr(data.index, name), getattr(want, name)), name
+
+
+def test_prepare_rejects_constant_column():
+    ds = tv.SurvivalDataset(np.array([1.0, 2.0]), np.array([1, 1]),
+                            np.zeros(2, dtype=np.int64), ("s",),
+                            np.array([[5.0, 1.0], [5.0, 2.0]]), ("c", "x"))
+    with pytest.raises(DegenerateCovariateError, match="'c'"):
+        tv.prepare(ds)
+    tv.prepare(ds, do_standardize=False)
+
+
+def test_csv_shape_counts_the_rows_that_load_csv_reads(tmp_path):
+    # leading comment and blank lines, blank lines between rows and after
+    # them, and CRLF line ends
+    text = ("# a comment\r\n\r\ntime,status,stratum,age,dose\r\n1.5,1,a,63,0.2\r\n"
+            "\r\n2.0,1,b,41,1.1\r\n0.7,0,a,58,0.0\r\n\r\n\r\n")
+    f = small_csv(tmp_path, text)
+    ds = load_csv(f)
+    assert tv.csv_shape(f) == (ds.n, ds.P) == (3, 2)
+    assert tv.csv_shape(small_csv(tmp_path, GOOD, "good.csv")) == (3, 2)
+    assert tv.csv_shape(small_csv(tmp_path, "time,status,stratum\n1,1,a", "bare.csv")) == (1, 0)
+    with pytest.raises(SchemaError, match="missing mandatory column 'status'"):
+        tv.csv_shape(small_csv(tmp_path, "time,stratum,x\n1,a,2\n", "bad.csv"))
+
+
 def test_risk_index_matches_direct_scan():
     ds, _, _, index = make_instance(11, n=60, J=3)
     # rebuild every risk set by definition and compare

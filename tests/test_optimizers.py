@@ -13,7 +13,7 @@ from tvcox.inference import fit_by_name
 from tvcox.likelihood import LikelihoodReport, evaluate_report, score_residuals
 from tvcox.optimizers import mmsa_block_quantities, verify_ascent_condition
 
-from conftest import make_instance
+from conftest import covariate_buffers, make_instance
 from reference import bisect_maximum, brute_loglik, dense_ascent_lambda_max
 
 # frozen desk values for the 3-subject dataset at theta = 0:
@@ -507,33 +507,47 @@ class TestDraws:
     def test_a_draws_index_is_the_index_of_the_drawn_rows(self):
         # the draw's index, mapped back through the drawn rows, equals the
         # index built from a copy of them, and so does its blocks pass; on 3
-        # strata and on 12 small ones, of which a draw leaves some eventless
+        # strata and on 12 small ones, of which a draw leaves some eventless.
+        # Drawn from a fit's prepared data, which holds no covariates beside
+        # its index's standardized Xs, the draw's Xs is a row filter of that
+        # Xs, and its index and pass those of the drawn rows of standardize's
+        # copy of the data
         config = MmsaConfig(subsample_fraction=0.15, seed=5)
         theta = np.random.default_rng(29).normal(0, 0.3, (2, 3))
         eventless_stratum = 0
         for J in (3, 12):
             ds, _, basis, index = make_instance(41, n=90, P=2, K=3, J=J)
+            prepared, work = tv.prepare(ds), tv.standardize(ds)[0]
+            assert not hasattr(prepared, "covariates")
             for iteration in range(1, 30):
                 rows = drawn_rows(ds.n, config, iteration)
                 drawn = optimizers._subsample((ds, index, basis), config, iteration)
+                from_fit = optimizers._subsample((prepared, prepared.index, basis), config,
+                                                 iteration)
                 if not ds.status[rows].any():
-                    assert drawn is None
+                    assert drawn is None and from_fit is None
                     continue
-                sub = ds.subset(rows)
-                built = tv.build_risk_index(sub)
-                assert len(drawn.strata) == len(built.strata)
-                eventless_stratum += len(built.strata) < len(np.unique(sub.stratum))
-                for got, want in zip(drawn.strata, built.strata):
-                    assert np.array_equal(got.order, rows[want.order])
-                    assert np.array_equal(got.event_rows, rows[want.event_rows])
-                    for name in ("dt", "L", "d", "Xs", "SX", "event_starts", "event_group"):
-                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 sub_basis = tv.BasisMatrix(times=basis.times[rows], values=basis.values[rows])
-                got = evaluate_report(ds, drawn, basis, theta, want_blocks=True)
-                want = evaluate_report(sub, built, sub_basis, theta, want_blocks=True)
-                assert got.loglik == want.loglik
-                assert np.array_equal(got.gradient, want.gradient)
-                assert np.array_equal(got.block_hessians, want.block_hessians)
+                for data, index_of, draw in ((ds, index, drawn),
+                                             (prepared, prepared.index, from_fit)):
+                    sub = (ds if data is ds else work).subset(rows)
+                    built = tv.build_risk_index(sub)
+                    assert len(draw.strata) == len(built.strata)
+                    eventless_stratum += len(built.strata) < len(np.unique(sub.stratum))
+                    for got, want in zip(draw.strata, built.strata):
+                        assert np.array_equal(got.order, rows[want.order])
+                        assert np.array_equal(got.event_rows, rows[want.event_rows])
+                        for name in ("dt", "L", "d", "Xs", "SX", "event_starts",
+                                     "event_group"):
+                            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                    # the draw's Xs is its rows of the index's Xs, in its order
+                    assert np.array_equal(draw.Xs,
+                                          index_of.Xs[np.isin(index_of.order, draw.order)])
+                    got = evaluate_report(data, draw, basis, theta, want_blocks=True)
+                    want = evaluate_report(sub, built, sub_basis, theta, want_blocks=True)
+                    assert got.loglik == want.loglik
+                    assert np.array_equal(got.gradient, want.gradient)
+                    assert np.array_equal(got.block_hessians, want.block_hessians)
         assert eventless_stratum >= 1
 
     def test_a_stochastic_fit_sorts_once_and_copies_no_data(self, monkeypatch):
@@ -554,9 +568,10 @@ class TestDraws:
         fit = tv.mmsa_fit(ds, spec, MmsaConfig(subsample_fraction=0.3, seed=4,
                                                max_iterations=60))
         assert fit.iterations >= 50
-        # the fit's one risk index sorts the rows of all 3 strata once; the
-        # standardized dataset and its basis are the only copies of the data
-        assert made == {"sort": 1, "dataset": 1, "basis": 1}
+        # the fit's one risk index sorts the rows of all 3 strata once; its
+        # Xs, standardized in place, and the basis are the only copies of
+        # the data: no dataset is made, not even a standardized one
+        assert made == {"sort": 1, "dataset": 0, "basis": 1}
 
 
 # full-data MMSA moves on make_instance(19, n=80) for hundreds of updates;
@@ -703,6 +718,45 @@ class TestFittingData:
         assert np.array_equal(kept.V, rebuilt.V)
         assert evaluate_report(*fit.fitting_data, fit.theta,
                                want_gradient=False).loglik == fit.loglik
+
+    @pytest.mark.parametrize("name, config", [
+        ("newton", MmsaConfig(tol=1e-8)),
+        ("mmsa", MmsaConfig(subsample_fraction=0.3, seed=4, max_iterations=60))],
+        ids=["newton", "stochastic-mmsa"])
+    def test_holds_one_covariate_array(self, name, config):
+        # the fit's data holds the covariates once, as its index's Xs on the
+        # fitting scale; its result and residuals are those of a fit run on
+        # standardize's copy of the data, with that copy's own RiskIndex
+        ds, spec = make_instance(7, n=90, P=2, K=3, J=3)[:2]
+        fit = fit_by_name(name)(ds, spec, config)
+        data, index, basis = fit.fitting_data
+        assert covariate_buffers(fit.fitting_data) == [index.Xs]
+        assert isinstance(data, tv.PreparedData) and not hasattr(data, "covariates")
+        work, transform = tv.standardize(ds)
+        reference = fit_by_name(name)(work, spec, config, do_standardize=False)
+        assert np.array_equal(fit.theta, reference.theta)
+        assert (fit.loglik, fit.trace) == (reference.loglik, reference.trace)
+        assert np.array_equal(fit.transform.center, transform.center)
+        assert np.array_equal(fit.transform.scale, transform.scale)
+        by_hand = (work, tv.RiskIndex(work), tv.evaluate_batch(spec, work.time))
+        kept, rebuilt = score_residuals(*fit.fitting_data, fit.theta), \
+            score_residuals(*by_hand, fit.theta)
+        for name in ("event_rows", "total", "V", "centered", "basis_rows"):
+            assert np.array_equal(getattr(kept, name), getattr(rebuilt, name)), name
+
+    def test_prepared_data_is_fitted_as_given(self):
+        # a fit of prepared data runs on it, whatever do_standardize says,
+        # and gives the fit of the dataset bit for bit
+        ds, spec = make_instance(7, n=90, P=2, K=3)[:2]
+        for do_standardize in (True, False):
+            data = tv.prepare(ds, do_standardize)
+            fit = optimizers.newton_fit(data, spec, MmsaConfig(tol=1e-8),
+                                        do_standardize=not do_standardize)
+            assert fit.fitting_data[0] is data and fit.transform is data.transform
+            of_dataset = optimizers.newton_fit(ds, spec, MmsaConfig(tol=1e-8),
+                                               do_standardize=do_standardize)
+            assert np.array_equal(fit.theta, of_dataset.theta)
+            assert (fit.loglik, fit.trace) == (of_dataset.loglik, of_dataset.trace)
 
     def test_result_built_by_hand_has_none(self):
         ds, spec = make_instance(7, n=90, P=2, K=3)[:2]
