@@ -298,13 +298,17 @@ def cmd_bench(args) -> int:
     for r in range(cfg["replicates"]):
         rep_seed = int(np.random.SeedSequence([cfg["seed"], r]).generate_state(1, np.uint64)[0])
         scen = _scenario(cfg, rep_seed)
-        data = simulate.generate(scen)
+        data, prepared = simulate.generate(scen), None
         spec = make_spec(degree=cfg["degree"], K=cfg["K"], event_times=data.event_times)
         for name in names:
             run_cfg = dict(cfg, optimizer=name, seed=rep_seed)
             base = [r, f"setting{cfg['setting']}", name, cfg["n"], cfg["P"], cfg["K"]]
             try:
-                fit, resid, tests = _fit_and_tests(data, spec, run_cfg)
+                # every optimizer fits the replicate's one prepared copy, so
+                # time_sec leaves out its making; a failure to prepare it is
+                # recorded in each optimizer's row
+                prepared = prepared or prepare(data)
+                fit, resid, tests = _fit_and_tests(prepared, spec, run_cfg)
                 rep = simulate.metrics(fit, scen)
                 p_star = scen.test_covariate
                 reject = ""

@@ -60,10 +60,14 @@ class ConditioningError(TvcoxError):
 
 
 class CapacityError(TvcoxError):
-    """A full-Hessian pass is refused before it allocates.
+    """A stage is refused before it allocates: its estimated bytes exceed physical memory.
 
-    Raised when P*K exceeds ``likelihood.FULL_HESSIAN_GUARD``, or when the
-    pass's estimated memory exceeds the machine's physical memory.
+    The stages that check are: the load of a CSV and the arrays its fit
+    holds for certain (``tvcox fit`` and ``tvcox cv``, before a row is
+    parsed); a likelihood pass that builds Hessians, the P diagonal blocks
+    or the full PK x PK matrix; the score residuals and their V; and the
+    inversion of V or of the observed information for the covariance.
+    Physical memory is the only limit; no stage refuses a P or K as such.
     """
 
     code = "CAPACITY"

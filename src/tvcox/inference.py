@@ -154,8 +154,25 @@ def _factor_spd(A: np.ndarray, label: str, escalate: bool) -> np.ndarray:
         A.flat[::A.shape[0] + 1] = diagonal
 
 
+def _inverse_bytes(N: int) -> int:
+    """Bytes that ``_inverse_spd`` holds at once for an N x N matrix A.
+
+    While A's Cholesky factor L is inverted: A, L, LAPACK's copy of L, the
+    identity that its solve overwrites, and the L^{-1} returned; then
+    L^{-T} L^{-1} beside A and L^{-1}, which is less.  A copy of A that
+    the factorization makes is released before the inversion.  A fixed
+    8 KiB counts the saved diagonal and small objects.
+    """
+    return 8 * (5 * N * N + N) + 8192
+
+
 def _inverse_spd(A: np.ndarray, label: str) -> np.ndarray:
-    """Inverse of the ridged SPD matrix A as L^{-T} L^{-1}, symmetric by construction."""
+    """Inverse of the ridged SPD matrix A as L^{-T} L^{-1}, symmetric by construction.
+
+    Raises ``CapacityError`` before it allocates when ``_inverse_bytes``
+    exceeds the machine's physical memory.
+    """
+    lk._require_memory(_inverse_bytes(len(A)), f"inverting the {label}")
     L_inv = np.linalg.inv(_factor_spd(A, label, escalate=True))
     return L_inv.T @ L_inv
 

@@ -146,7 +146,6 @@ __all__ = [
     "score_residuals",
 ]
 
-FULL_HESSIAN_GUARD = 2000  # refuse to build PK x PK beyond this
 _CHUNK_TIMES = 32          # event times per chunk of the risk-set pass, at most
 _CHUNK_ENTRIES = 1 << 16   # entries per row block of a pass or per Gram row chunk: 512 KiB
 _S_FLOOR = 1e-250          # a chunk's risk-set sums outside [_S_FLOOR, 1 / _S_FLOOR]: made again
@@ -451,11 +450,11 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     risk-set means that the report keeps.  Beside them, the larger of two
     stages that follow one another.  First a stratum's pass, counted at the
     largest stratum: the vector of ones, U (n x K), the moment array (n x
-    columns), the one buffer of linear predictors that every row block
-    reuses and its band mask at a byte an entry (at most ``_CHUNK_ENTRIES``
-    entries each; the separable form's spreading pass keeps a chunk's blocks
-    one after another, so at most ``_CHUNK_TIMES`` n); each stratum's arrays
-    are released before the next stratum's pass, so they are counted once.
+    columns) and the one buffer of linear predictors that every row block
+    reuses (at most ``_CHUNK_ENTRIES`` entries; the separable form's
+    spreading pass keeps a chunk's blocks one after another, so at most
+    ``_CHUNK_TIMES`` n); each stratum's arrays are released before the next
+    stratum's pass, so they are counted once.
     Then the sums over every event time, whose largest temporary is
     counted as m x (P + K^2): an m x P product, or the basis products
     B_k B_l of the basis pairs k <= l beside a column.  A full pass hands
@@ -463,7 +462,9 @@ def _pass_bytes(index: RiskIndex, P: int, K: int, form: str) -> int:
     LAPACK's copy of Hf in the solve are two more arrays of its size.  The
     separable form is counted with all K(K+1)/2 basis pairs; it spreads
     only the pairs that overlap at some event time, so its count is an
-    upper bound.  A fixed 8 KiB counts what is not an array of these sizes.
+    upper bound.  The band mask is a strided view of 3n bytes, not counted
+    on its own; a byte per entry of the predictors' buffer is counted, as
+    margin.  A fixed 8 KiB counts what is not an array of these sizes.
     """
     # the largest stratum's rows and event times
     n, m = (int((a[1:] - a[:-1]).max()) for a in (index.row_starts, index.time_starts))
@@ -560,9 +561,10 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     NumericOverflowError
         If a linear predictor is non-finite (diverged coefficients).
     CapacityError
-        If the full Hessian is requested and P*K exceeds
-        ``FULL_HESSIAN_GUARD``, or a full or a blocks pass would need more
-        bytes than the machine's physical memory.
+        If a pass that builds Hessians, the P diagonal blocks or the full
+        PK x PK matrix in either form, would need more bytes than the
+        machine's physical memory (``_pass_bytes``).  No other limit applies
+        to P or K.
     InvalidSpecError
         If the full Hessian takes the separable form (P > K) and the basis
         row of an event time is negative somewhere: the form takes square
@@ -575,13 +577,9 @@ def evaluate_report(dataset: SurvivalDataset, index: RiskIndex, basis: BasisMatr
     if not np.all(np.isfinite(Theta)):
         raise NumericOverflowError("non-finite coefficients")
     separable = want_full and P > K  # fewer pass columns: K(K+1)/2 < P(P+1)/2
-    if want_full:
-        if P * K > FULL_HESSIAN_GUARD:
-            raise CapacityError(f"full Hessian size {P * K} exceeds guard {FULL_HESSIAN_GUARD}")
-        form = "separable" if separable else "product"
-        _require_memory(_pass_bytes(index, P, K, form), "full Hessian pass")
-    elif want_blocks:
-        _require_memory(_pass_bytes(index, P, K, "blocks"), "Hessian blocks pass")
+    if want_full or want_blocks:
+        form = "separable" if separable else "product" if want_full else "blocks"
+        _require_memory(_pass_bytes(index, P, K, form), f"a Hessian pass ({form})")
 
     # covariate pairs (p, q) whose K x K blocks the pass builds
     pairs = (np.triu_indices(P) if want_full and not separable
@@ -678,7 +676,7 @@ def loglik(dataset, index, basis, theta) -> float:
 
 
 def full_hessian(dataset, index, basis, theta) -> np.ndarray:
-    """Dense PK x PK Hessian; refused past ``FULL_HESSIAN_GUARD``."""
+    """Dense PK x PK Hessian; ``CapacityError`` when its pass would exceed physical memory."""
     return evaluate_report(dataset, index, basis, theta, want_gradient=False,
                            want_full=True).full_hessian
 

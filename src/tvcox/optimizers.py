@@ -523,10 +523,12 @@ def newton_fit(dataset: SurvivalDataset | PreparedData, spec: SplineSpec,
                do_standardize: bool = True) -> FitResult:
     """Full-Hessian Newton ascent with backtracking line search.
 
-    The dense PK x PK Hessian is built each iteration (refused past
-    ``likelihood.FULL_HESSIAN_GUARD``), ridged if necessary, and the step
-    halved until the Armijo condition holds.  Stops on gradient sup-norm <
-    tol (reported as score-threshold) or relative log-likelihood change < tol.
+    The dense PK x PK Hessian is built each iteration, ridged if necessary,
+    and the step halved until the Armijo condition holds.  Stops on
+    gradient sup-norm < tol (reported as score-threshold) or relative
+    log-likelihood change < tol.  A pass whose Hessian and its solve would
+    exceed physical memory raises ``CapacityError`` before it allocates; no
+    other limit applies to PK.
 
     The unit step is evaluated by a full pass, which becomes the next
     iteration's pass when the step is accepted, so an iteration whose unit

@@ -194,6 +194,9 @@ def _scan_crossings(X: np.ndarray, betas: np.ndarray, tau: np.ndarray):
         Lam[0] = Lam_carry
         np.add(lam[1:], lam[:-1], out=Lam[1:])
         Lam[1:] *= HAZARD_GRID_STEP / 2
+        # a row at a time: np.cumsum(Lam, axis=0, out=Lam) gives the same bits
+        # but ran 4.5-8 times slower on numpy 2.4.6, 95 -> 433 us on a
+        # 65 x 2000 block and 177 -> 1398 us on 65 x 4096
         for r in range(1, Lam.shape[0]):
             Lam[r] += Lam[r - 1]
         crossed = Lam[-1] >= tau_a

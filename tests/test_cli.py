@@ -92,9 +92,10 @@ class TestFitCommand:
         assert doc["converged"] is False
         assert doc["reason"] == "max-iterations"
 
-    def test_capacity_guard_exits_one_without_outputs(self, tmp_path, capsys):
-        # 40 covariates x K = 51 puts the full Hessian over the guard that
-        # the Newton path enforces
+    def test_capacity_guard_exits_one_without_outputs(self, tmp_path, capsys, monkeypatch):
+        # 40 covariates x K = 51: PK = 2040.  Memory enough for the load and
+        # for what the fit holds for certain, checked before the load, is
+        # short of the Newton path's full Hessian pass
         rng = np.random.default_rng(0)
         n = 120
         ds = SurvivalDataset(
@@ -105,12 +106,36 @@ class TestFitCommand:
             stratum_labels=("s001",))
         data = tmp_path / "wide.csv"
         write_csv(str(data), ds)
+        need = max(cli._load_bytes(n, 40), tvcox.likelihood._fit_bytes(n, 40, 51, True))
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: need)
         out = tmp_path / "fit"
         rc, _, err = run(["fit", "--data", str(data), "--K", "51",
                           "--optimizer", "newton", "--out", str(out)], capsys)
         assert rc == 1
         assert err.startswith("ERROR CAPACITY:")
+        assert "Hessian pass" in err
         assert not (out / "fit.json").exists()
+
+    def test_covariance_beyond_memory_exits_one_without_outputs(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # n=300, P=40, K=4: the load, the fit, its full passes and the
+        # residuals all fit a byte below what inverting V (PK = 160) needs
+        data = str(tmp_path / "p40.csv")
+        rc, _, err = run(["simulate", "--setting", "1", "--n", "300", "--P", "40",
+                          "--seed", "5", "--out", data], capsys)
+        assert rc == 0, err
+        index = tvcox.build_risk_index(tvcox.load_csv(data))
+        limit = tvcox.inference._inverse_bytes(160) - 1
+        assert max(cli._load_bytes(300, 40), tvcox.likelihood._fit_bytes(300, 40, 4, True),
+                   tvcox.likelihood._pass_bytes(index, 40, 4, "separable"),
+                   tvcox.likelihood._residual_bytes(index, 40, 4)) <= limit
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: limit)
+        out = tmp_path / "fit"
+        rc, stdout, err = run(["fit", "--data", data, "--K", "4", "--optimizer", "newton",
+                               "--tol", "1e-8", "--out", str(out)], capsys)
+        assert rc == 1 and stdout == ""
+        assert err.startswith("ERROR CAPACITY: inverting the empirical information needs")
+        assert not out.exists()
 
     def test_outputs_byte_identical_across_reruns(self, tmp_path, capsys):
         # rerun into the same directory: the config echo embeds --out, so
@@ -467,7 +492,9 @@ class TestBenchCommand:
             assert got[:6] == want[:6]
             assert got[7:] == want[7:]
 
-    def test_exit_one_when_no_optimizer_completes(self, tmp_path, capsys):
+    def test_exit_one_when_no_optimizer_completes(self, tmp_path, capsys, monkeypatch):
+        # PK = 2040: the full Hessian alone is 32 MiB, past 1 MiB of memory
+        monkeypatch.setattr(tvcox.likelihood, "_physical_memory", lambda: 1 << 20)
         out = tmp_path / "bench.csv"
         rc, stdout, _ = run(
             ["bench", "--setting", "1", "--n", "250", "--P", "40", "--K", "51",
@@ -479,6 +506,27 @@ class TestBenchCommand:
         assert len(rows) == 2
         assert all(r[10] == "error:CAPACITY" for r in rows)
         assert all(r[6] == "" for r in rows)  # no timing for failed runs
+
+    def test_prepares_each_replicate_once(self, tmp_path, capsys, monkeypatch):
+        # every optimizer fits the replicate's one prepared copy
+        built = count_risk_indexes(monkeypatch)
+        rc, _, err = run(self.bench_args(tmp_path / "b.csv"), capsys)
+        assert rc == 0, err
+        assert built == [120, 120]
+
+    def test_a_replicate_that_cannot_be_prepared_fails_every_optimizer(self, tmp_path,
+                                                                      capsys):
+        # setting 2 at n=12: x1 (prevalence 0.05) is all zero in every replicate
+        out = tmp_path / "b.csv"
+        rc, stdout, _ = run(["bench", "--setting", "2", "--n", "12", "--P", "2", "--K", "4",
+                             "--optimizers", "newton,mmsa", "--replicates", "2",
+                             "--seed", "1", "--out", str(out)], capsys)
+        assert rc == 1
+        assert "complete optimizers: none" in stdout
+        _, _, rows = read_rows(out)
+        assert [(r[0], r[2], r[6], r[10]) for r in rows] == [
+            (str(i), name, "", "error:DEGENERATE_COVARIATE")
+            for i in "01" for name in ("mmsa", "newton")]
 
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc, _, err = run(["bench", "--setting", "3", "--n", "50", "--K", "4",

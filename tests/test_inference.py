@@ -540,3 +540,35 @@ def test_in_place_ridge_of_the_inverse_equals_the_identity_form():
     ints = np.array([[2, 1], [1, 2]])
     np.testing.assert_array_equal(inference_module._factor_spd(ints, "test", False),
                                   np.linalg.cholesky(ints.astype(float)))
+
+
+@pytest.mark.parametrize("N", [8, 160, 320, 1000])
+def test_inverse_bytes_bound_the_traced_peak(N):
+    # V is held throughout; beside it the factor L and L^{-1}, then L^{-1}
+    # and V^{-1}, are traced.  LAPACK's copy of L and the identity that its
+    # solve overwrites are plain allocations, counted but not traced
+    import tvcox.inference as inference_module
+
+    a = np.random.default_rng(N).normal(size=(N + 3, N))
+    V = a.T @ a
+    tracemalloc.start()
+    try:
+        inference_module._inverse_spd(V, "test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * V.nbytes <= peak
+    assert V.nbytes + peak <= inference_module._inverse_bytes(N)
+
+
+def test_inverse_beyond_physical_memory_is_a_capacity_error(monkeypatch):
+    import tvcox.inference as inference_module
+
+    a = np.random.default_rng(36).normal(size=(12, 10))
+    V = a.T @ a
+    need = inference_module._inverse_bytes(10)
+    monkeypatch.setattr(tv.likelihood, "_physical_memory", lambda: need - 1)
+    with pytest.raises(tv.CapacityError, match="inverting the test matrix needs"):
+        inference_module._inverse_spd(V, "test matrix")
+    monkeypatch.setattr(tv.likelihood, "_physical_memory", lambda: need)
+    inference_module._inverse_spd(V, "test matrix")

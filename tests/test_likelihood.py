@@ -186,10 +186,25 @@ def test_ties_share_denominator(d0):
 
 
 def test_capacity_guard(monkeypatch):
+    # physical memory is the one limit: a byte short of the full pass's count
     ds, spec, basis, index = make_instance(81, n=30, P=2, K=3)
-    monkeypatch.setattr(likelihood_module, "FULL_HESSIAN_GUARD", 5)
+    need = likelihood_module._pass_bytes(index, 2, 3, "product")
+    monkeypatch.setattr(likelihood_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityError):
         evaluate_report(ds, index, basis, np.zeros((2, 3)), want_full=True)
+
+
+def test_full_pass_past_PK_2000_matches_the_blocks_pass():
+    # P=401, K=5: PK = 2005, a full pass of the separable form on 40
+    # subjects, which no limit but physical memory refuses
+    ds, spec, basis, index = make_instance(82, n=40, P=401, K=5)
+    theta = np.random.default_rng(83).normal(0, 0.01, (401, 5))
+    H4 = evaluate_report(ds, index, basis, theta, want_gradient=False,
+                         want_full=True).full_hessian.reshape(401, 5, 401, 5)
+    blocks = evaluate_report(ds, index, basis, theta, want_blocks=True).block_hessians
+    diagonal = H4[np.arange(401), :, np.arange(401), :]
+    assert diagonal.shape == blocks.shape == (401, 5, 5)
+    np.testing.assert_allclose(diagonal, blocks, rtol=0, atol=1e-12 * np.abs(blocks).max())
 
 
 def test_overflow_names_a_subject():
